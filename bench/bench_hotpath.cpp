@@ -2,7 +2,8 @@
 // interning + score-engine refactors target — classification (msgs/sec)
 // through the legacy string-set path, the interned id path and the
 // generation-cached ScoreEngine (single-message and zero-alloc batch),
-// train/untrain round trips (ops/sec) and tokenization (MB/s).
+// train/untrain round trips (ops/sec) and tokenization (MB/s), including
+// the lookup-only tokenize served classify runs.
 //
 // Unlike bench_micro (google-benchmark, optional dependency), this binary
 // always builds and emits JSON for the tracked BENCH_baseline.json
@@ -169,6 +170,17 @@ int main(int argc, char** argv) {
                                  .size();
                   }) *
       msg_mb;
+  // Lookup-only (served classify's Filter::message_known_token_ids) on a
+  // warm interner: the rows above interned every token of ham_msg, so this
+  // is the all-hits path — no insert, no writer mutex.
+  const double tokenize_known_ids =
+      ops_per_sec(min_seconds,
+                  [&] {
+                    g_sink = spambayes::unique_token_ids(
+                                 tok.tokenize_known_ids(ham_msg))
+                                 .size();
+                  }) *
+      msg_mb;
 
   // "metrics" is what tools/check_bench.py gates; the speedup ratios are
   // informational only (a future improvement to the legacy string path
@@ -182,6 +194,7 @@ int main(int argc, char** argv) {
       {"train_untrain_interned_ops_per_sec", train_interned},
       {"tokenize_to_set_string_mb_per_sec", tokenize_string},
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
+      {"tokenize_to_known_ids_mb_per_sec", tokenize_known_ids},
   };
   const std::vector<Metric> info = {
       {"classify_interned_speedup", classify_interned / classify_string},

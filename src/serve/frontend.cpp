@@ -8,6 +8,7 @@
 #include "email/rfc2822.h"
 #include "serve/replication.h"
 #include "spambayes/score_engine.h"
+#include "spambayes/scoring_math.h"
 #include "util/error.h"
 #include "util/sharding.h"
 
@@ -33,6 +34,21 @@ ServeFrontend::ServeFrontend(spambayes::Filter base, FrontendConfig config,
       durability_->shard_count() != config.shard_count) {
     throw InvalidArgument(
         "ServeFrontend: durability shard count does not match config");
+  }
+  // Classify drops tokens the interner has never seen. That is exact only
+  // if a zero-count token can never enter delta(E), so check it with the
+  // scorers' own arithmetic. For counts {0,0} Eq. 1-2 does not depend on
+  // the class totals, so the base's totals stand for every overlay's.
+  const spambayes::ClassifierOptions& scoring = base_.options().classifier;
+  const double unseen_distance = spambayes::detail::distance_from_neutral(
+      spambayes::detail::score_from_counts(
+          {}, base_.database().spam_count(), base_.database().ham_count(),
+          scoring));
+  if (spambayes::detail::admits(unseen_distance, scoring)) {
+    throw InvalidArgument(
+        "ServeFrontend: classifier options make an unseen token a "
+        "discriminator (unknown_word_prob too far from 0.5 for "
+        "minimum_prob_strength); lookup-only classify would change scores");
   }
   // Route every user id up front: shard by splitmix64 hash, then assign
   // dense local slots per shard so each ModelShard only allocates the
@@ -65,6 +81,11 @@ ServeFrontend::RouteEntry ServeFrontend::route(std::uint64_t user_id) const {
   return route_checked(user_id);
 }
 
+OverlaySnapshot ServeFrontend::overlay(std::uint64_t user_id) const {
+  const RouteEntry& at = route_checked(user_id);
+  return shards_[at.shard]->overlay(at.local);
+}
+
 const ServeFrontend::RouteEntry& ServeFrontend::route_checked(
     std::uint64_t user_id) const {
   if (user_id >= route_.size()) {
@@ -80,16 +101,21 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
   const RouteEntry at = route_checked(request.user_id);
   ModelShard& shard = *shards_[at.shard];
 
-  // Tokenize the whole batch first; scoring then runs over pure id sets.
+  // One snapshot for the whole batch: mutations landing mid-batch are
+  // seen by the next request, never by a half-scored batch. It is taken
+  // BEFORE tokenizing: every token with counts in it is then already
+  // interned, so the lookup-only tokenize below drops only zero-count
+  // tokens (TokenInterner::probe). Tokenizing first would let a concurrent
+  // train intern and publish a token this batch had already dropped.
+  const OverlaySnapshot overlay = shard.overlay(at.local);
+
+  // Lookup-only: classify never writes the interner, so traffic full of
+  // fresh tokens grows nothing indexed by TokenId.
   std::vector<spambayes::TokenIdSet> ids;
   ids.reserve(request.messages.size());
   for (const std::string& raw : request.messages) {
-    ids.push_back(base_.message_token_ids(email::parse_message(raw)));
+    ids.push_back(base_.message_known_token_ids(email::parse_message(raw)));
   }
-
-  // One snapshot for the whole batch: mutations landing mid-batch are
-  // seen by the next request, never by a half-scored batch.
-  const OverlaySnapshot overlay = shard.overlay(at.local);
 
   ClassifyBatchResponse response;
   response.results.resize(ids.size());

@@ -17,7 +17,18 @@
 //    counts are exact uint32 sums, so Classifier::score_ids(base, overlay)
 //    sees the same doubles as a merged database would;
 //  * one classify batch reads one overlay snapshot: mutations that land
-//    mid-batch affect later requests, never a half-scored batch.
+//    mid-batch affect later requests, never a half-scored batch;
+//  * classify never writes the token interner. It acquires the overlay
+//    snapshot first, then tokenizes lookup-only
+//    (Filter::message_known_token_ids), dropping tokens the interner has
+//    never seen. In that order a lookup miss is authoritative — every
+//    token with counts in the snapshot was interned before it was
+//    published (TokenInterner::probe) — so a dropped token has zero counts
+//    in base and overlay, scores x, and never enters delta(E): the score
+//    and verdict are bit-identical to scoring fully interned ids. The
+//    constructor refuses classifier options under which that last step
+//    fails. Train, untrain, WAL replay and replication still intern, as
+//    they must to add counts.
 //
 // Durability (PR 7): constructed with a Durability, every Train/Untrain is
 // WAL-logged before it publishes, and recover() (recovery.h) rebuilds the
@@ -78,7 +89,9 @@ class ServeFrontend {
   /// Takes ownership of the shared base filter (immutable from here on)
   /// and builds the shard/user routing table. With a Durability, the
   /// shards log every mutation to their WAL before publishing. Throws
-  /// InvalidArgument on a zero shard or user count.
+  /// InvalidArgument on a zero shard or user count, and when the base's
+  /// classifier options would admit a zero-count token into delta(E)
+  /// (lookup-only classify would then change scores).
   ServeFrontend(spambayes::Filter base, FrontendConfig config,
                 std::unique_ptr<Durability> durability = nullptr);
   ~ServeFrontend();
@@ -142,6 +155,11 @@ class ServeFrontend {
     std::uint32_t local = 0;
   };
   RouteEntry route(std::uint64_t user_id) const;
+
+  /// Lock-free read of a user's published overlay snapshot (null = no
+  /// feedback yet) — the state classify_batch scores against. Throws
+  /// InvalidArgument for an unknown user.
+  OverlaySnapshot overlay(std::uint64_t user_id) const;
 
   // --- Durability / recovery wiring ---------------------------------------
 

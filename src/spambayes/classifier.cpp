@@ -37,8 +37,9 @@ void select_and_combine(Result& result, const ClassifierOptions& opts,
   std::vector<Candidate> candidates;
   candidates.reserve(result.evidence.size());
   for (std::size_t i = 0; i < result.evidence.size(); ++i) {
-    const double distance = std::fabs(result.evidence[i].score - 0.5);
-    if (distance > opts.minimum_prob_strength) {
+    const double distance =
+        detail::distance_from_neutral(result.evidence[i].score);
+    if (detail::admits(distance, opts)) {
       candidates.push_back({distance, i});
     }
   }

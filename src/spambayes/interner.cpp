@@ -96,7 +96,8 @@ TokenId TokenInterner::intern(std::string_view token) {
 
   // Grow at 50% load: rebuild into a double-size table and swap. The old
   // table is retired, not freed — a reader still probing it sees a correct
-  // (if slightly stale) view and falls through to the mutex on a miss.
+  // (if slightly stale) view: intern() falls through to the mutex on a
+  // miss, and find() needs no fallback (see probe() in the header).
   if ((static_cast<std::size_t>(id) + 1) * 2 >= table->capacity) {
     auto grown = std::make_unique<Table>(table->capacity * 2);
     for (TokenId existing = 0; existing < id; ++existing) {
@@ -112,15 +113,8 @@ TokenId TokenInterner::intern(std::string_view token) {
 }
 
 std::optional<TokenId> TokenInterner::find(std::string_view token) const {
-  const std::size_t hash = std::hash<std::string_view>{}(token);
-  if (const auto id = probe(*table_.load(std::memory_order_acquire), hash,
-                            token)) {
-    return id;
-  }
-  // A lock-free miss may race an in-flight insert; confirm under the writer
-  // mutex against the newest table before reporting absence.
-  const util::MutexLock lock(write_mutex_);
-  return probe(*table_.load(std::memory_order_relaxed), hash, token);
+  return probe(*table_.load(std::memory_order_acquire),
+               std::hash<std::string_view>{}(token), token);
 }
 
 std::string_view TokenInterner::spelling(TokenId id) const {

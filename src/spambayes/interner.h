@@ -16,8 +16,12 @@
 //    insertions and table growth take the writer mutex; superseded tables
 //    are retired, never freed, so stale readers stay safe (the table is
 //    append-only — no deletions, ever).
-//  * find() is lock-free on hit; a miss re-checks under the writer mutex so
-//    an id published by another thread is never spuriously reported absent.
+//  * find() is one lock-free probe and never takes the writer mutex. A
+//    miss means "not interned as of the table this probe saw"; it is
+//    authoritative for any token whose interning happens-before the probe
+//    (see probe() for the argument the serving layer's lookup-only
+//    classify rests on). A token another thread is inserting concurrently
+//    may be reported absent — callers that need it must intern() it.
 //  * spelling(id) is lock-free and wait-free for any id previously returned
 //    by intern(): ids are published with release semantics into chunks that
 //    never move once allocated.
@@ -61,9 +65,10 @@ class TokenInterner {
   /// is copied into the interner's arena; the caller's buffer may die.
   TokenId intern(std::string_view token) SBX_EXCLUDES(write_mutex_);
 
-  /// Returns the id for `token` if it was ever interned; does not insert.
-  std::optional<TokenId> find(std::string_view token) const
-      SBX_EXCLUDES(write_mutex_);
+  /// Returns the id for `token` if it is interned; never inserts and never
+  /// locks (one probe of the current table). A miss is authoritative for
+  /// every token whose intern() happened-before this call; see probe().
+  std::optional<TokenId> find(std::string_view token) const;
 
   /// The spelling of an interned id. Lock-free; the returned view lives as
   /// long as the interner. Throws InvalidArgument for ids never returned by
@@ -110,6 +115,22 @@ class TokenInterner {
   }
 
   /// Lock-free probe of `table`; nullopt when `token` has no slot there.
+  ///
+  /// Why a miss on the table find() acquires is authoritative for lookup-
+  /// only classify (serve/frontend.h): classify first acquire-loads the
+  /// user's overlay snapshot, then probes.
+  ///  1. Every token with nonzero counts in that snapshot was interned
+  ///     before the snapshot's release-store publish: train tokenizes
+  ///     (interning) before apply_mutation, and recovery and replication
+  ///     intern before they install. The base database is trained before
+  ///     the frontend exists. So the intern's place() into the then-current
+  ///     table, and that table's publish in table_, happen-before the probe.
+  ///  2. A table grown after that intern is built under write_mutex_ from
+  ///     every id below size_, the token's id included, and is published
+  ///     in table_ with a release store only once fully built.
+  /// Whichever table the probe's acquire-load of table_ returns therefore
+  /// holds the token, so a miss means zero counts in the base and in the
+  /// snapshot — a token that scores x and never enters delta(E).
   std::optional<TokenId> probe(const Table& table, std::size_t hash,
                                std::string_view token) const;
 

@@ -1,12 +1,14 @@
 // sbx/spambayes/scoring_math.h
 //
 // The single definition of Eq. 1-2 (per-token spam score smoothed toward
-// the prior) shared by Classifier and ScoreEngine. Both evaluate the exact
-// same sequence of floating-point operations, which is what lets the
-// engine memoize per-token values and still produce bit-identical message
-// scores (tests/spambayes/score_engine_test.cpp holds it to EXPECT_EQ on
-// doubles).
+// the prior) and of the delta(E) admission test, shared by Classifier and
+// ScoreEngine. Both evaluate the exact same sequence of floating-point
+// operations, which is what lets the engine memoize per-token values and
+// still produce bit-identical message scores
+// (tests/spambayes/score_engine_test.cpp holds it to EXPECT_EQ on doubles).
 #pragma once
+
+#include <cmath>
 
 #include "spambayes/options.h"
 #include "spambayes/token_db.h"
@@ -29,6 +31,16 @@ inline double score_from_counts(TokenCounts c, double ns, double nh,
   const double s = opts.unknown_word_strength;
   const double x = opts.unknown_word_prob;
   return (s * x + n_w * ps) / (s + n_w);
+}
+
+/// A token's distance from neutral, |f - 0.5| — the delta(E) sort key.
+inline double distance_from_neutral(double f) { return std::fabs(f - 0.5); }
+
+/// The delta(E) admission test: only tokens strictly farther than
+/// minimum_prob_strength from 0.5 are discriminators. A NaN distance
+/// compares false, so it is never admitted.
+inline bool admits(double distance, const ClassifierOptions& opts) {
+  return distance > opts.minimum_prob_strength;
 }
 
 }  // namespace sbx::spambayes::detail

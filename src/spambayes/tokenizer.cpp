@@ -24,9 +24,10 @@ char ascii_lower(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-/// Output adapters. Both receive each token spelling exactly once, in
+/// Output adapters. All receive each token spelling exactly once, in
 /// emission order; the buffers they are handed are transient scratch, so
-/// they must copy (string sink) or intern (id sink) immediately.
+/// they must copy (string sink), intern (id sink) or look up (known-id
+/// sink) immediately.
 struct StringSink {
   TokenList* out;
   void add(std::string_view token) { out->emplace_back(token); }
@@ -36,6 +37,16 @@ struct IdSink {
   TokenInterner* interner;
   TokenIdList* out;
   void add(std::string_view token) { out->push_back(interner->intern(token)); }
+};
+
+/// Lookup-only: emits the ids of already-interned tokens and drops the
+/// rest, so the interner is never written.
+struct KnownIdSink {
+  const TokenInterner* interner;
+  TokenIdList* out;
+  void add(std::string_view token) {
+    if (const auto id = interner->find(token)) out->push_back(*id);
+  }
 };
 
 /// One tokenization pass over a message/text, generic over the output sink.
@@ -263,6 +274,14 @@ TokenIdList Tokenizer::tokenize_text_ids(std::string_view text,
   TokenIdList out;
   Emitter<IdSink> emitter(opts_, IdSink{&interner, &out});
   emitter.text(text);
+  return out;
+}
+
+TokenIdList Tokenizer::tokenize_known_ids(
+    const email::Message& msg, const TokenInterner& interner) const {
+  TokenIdList out;
+  Emitter<KnownIdSink> emitter(opts_, KnownIdSink{&interner, &out});
+  emitter.message(msg);
   return out;
 }
 

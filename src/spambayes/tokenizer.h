@@ -20,11 +20,15 @@
 // Tokens are returned with duplicates; the classifier counts *presence*, so
 // TokenDatabase consumes the deduplicated set (unique_tokens()).
 //
-// Two output forms share one emission pass: the legacy string form
-// (TokenList, one std::string per token) and the interned form (TokenIdList,
+// Three output forms share one emission pass: the legacy string form
+// (TokenList, one std::string per token), the interned form (TokenIdList,
 // each token interned into a TokenInterner with zero per-token allocation
-// once the vocabulary is warm). The streams are byte-identical:
-// spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i.
+// once the vocabulary is warm) and the known-ids form (TokenIdList of the
+// tokens already interned; unknown ones are dropped and the interner is
+// never written). The first two streams are byte-identical:
+// spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i; the known-ids
+// stream is tokenize_ids(m) with the ids the interner did not hold before
+// the call removed.
 #pragma once
 
 #include <string>
@@ -61,6 +65,15 @@ class Tokenizer {
   TokenIdList tokenize_text_ids(
       std::string_view text,
       TokenInterner& interner = global_interner()) const;
+
+  /// Lookup-only counterpart of tokenize_ids(): the same token stream, with
+  /// every token the interner does not hold dropped. Never inserts and never
+  /// locks (TokenInterner::find), so hostile traffic full of fresh tokens
+  /// cannot grow the interner. Served classify uses it: a token absent from
+  /// the interner has zero counts everywhere and cannot change a score.
+  TokenIdList tokenize_known_ids(
+      const email::Message& msg,
+      const TokenInterner& interner = global_interner()) const;
 
   const TokenizerOptions& options() const { return opts_; }
 

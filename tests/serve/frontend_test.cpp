@@ -1,9 +1,15 @@
-// ServeFrontend dispatch/stats/concurrency tests plus a live socket
-// round-trip through Server/Client on a UNIX domain socket.
+// ServeFrontend dispatch/stats/concurrency tests, a live socket
+// round-trip through Server/Client on a UNIX domain socket, and the
+// lookup-only classify contract (frontend.h): classify never writes the
+// token interner, scores bit-identically to scoring fully interned ids,
+// refuses classifier options under which dropping an unseen token could
+// change a score, and never misses a token a published overlay counts.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -15,6 +21,8 @@
 #include "serve/frontend.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "spambayes/interner.h"
+#include "spambayes/score_engine.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -193,6 +201,145 @@ TEST(ServeServer, SocketRoundTripMatchesInProcessBitwise) {
   }
   serving.join();
   std::remove(path.c_str());
+}
+
+TEST(LookupOnlyClassify, RejectsOptionsUnderWhichAnUnseenTokenDiscriminates) {
+  spambayes::FilterOptions skewed;
+  skewed.classifier.unknown_word_prob = 0.8;  // |0.8 - 0.5| > 0.1
+  EXPECT_THROW(ServeFrontend(spambayes::Filter(skewed), {2, 8}),
+               InvalidArgument);
+  EXPECT_NO_THROW(ServeFrontend(spambayes::Filter(), {2, 8}));
+}
+
+TEST(LookupOnlyClassify, ScoresMatchFullyInternedIdsAndInternerStaysFlat) {
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  constexpr std::uint64_t kUntrained = 0;
+  constexpr std::uint64_t kTrained = 3;
+  const std::vector<std::string> feedback = make_messages(16, 71);
+  for (std::size_t i = 0; i < feedback.size(); ++i) {
+    TrainRequest t;
+    t.user_id = kTrained;
+    t.as_spam = i % 2 == 1;
+    t.message = feedback[i];
+    frontend.train(t);
+  }
+  const OverlaySnapshot overlay = frontend.overlay(kTrained);
+  ASSERT_TRUE(overlay != nullptr);
+  ASSERT_TRUE(frontend.overlay(kUntrained) == nullptr);
+
+  const std::vector<std::string> probes = make_messages(2'000, 72);
+  const std::uint64_t users[] = {kUntrained, kTrained};
+  std::vector<ClassifyResult> served[2];
+  const std::size_t interned_before = spambayes::global_interner().size();
+  for (std::size_t start = 0; start < probes.size(); start += 8) {
+    ClassifyBatchRequest request;
+    request.messages.assign(
+        probes.begin() + static_cast<std::ptrdiff_t>(start),
+        probes.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(start + 8, probes.size())));
+    for (int u = 0; u < 2; ++u) {
+      request.user_id = users[u];
+      const auto results = frontend.classify_batch(request).results;
+      served[u].insert(served[u].end(), results.begin(), results.end());
+    }
+  }
+  EXPECT_EQ(spambayes::global_interner().size(), interned_before);
+  ASSERT_EQ(served[0].size(), probes.size());
+  ASSERT_EQ(served[1].size(), probes.size());
+
+  // The reference interns every token, so it runs after the loop.
+  const spambayes::Filter& base = frontend.base();
+  spambayes::ScoreEngine engine(base.options().classifier);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const spambayes::TokenIdSet ids =
+        base.message_token_ids(email::parse_message(probes[i]));
+    const spambayes::ScoreIdResult plain =
+        engine.score_ids(base.database(), ids);
+    // EXPECT_EQ on doubles is exact equality — the bit-identity claim.
+    EXPECT_EQ(served[0][i].score, plain.score) << "probe " << i;
+    EXPECT_EQ(served[0][i].verdict, verdict_to_byte(plain.verdict))
+        << "probe " << i;
+    const spambayes::ScoreIdResult merged =
+        base.classifier().score_ids(base.database(), *overlay, ids);
+    EXPECT_EQ(served[1][i].score, merged.score) << "probe " << i;
+    EXPECT_EQ(served[1][i].verdict, verdict_to_byte(merged.verdict))
+        << "probe " << i;
+  }
+  // The probes did carry tokens classify had to drop: several per message.
+  EXPECT_GT(spambayes::global_interner().size(),
+            interned_before + 5 * probes.size());
+}
+
+/// Number of ids with nonzero counts in `overlay` that a lock-free find()
+/// of their own spelling does not map back to the same id.
+std::size_t unfound_counted_tokens(const OverlaySnapshot& overlay) {
+  if (overlay == nullptr) return 0;
+  const spambayes::TokenInterner& interner = spambayes::global_interner();
+  const auto& counts = overlay->id_counts();
+  std::size_t unfound = 0;
+  for (spambayes::TokenId id = 0; id < counts.size(); ++id) {
+    if (counts[id] == spambayes::TokenCounts{}) continue;
+    const auto found = interner.find(interner.spelling(id));
+    if (!found || *found != id) ++unfound;
+  }
+  return unfound;
+}
+
+TEST(LookupOnlyClassify, TokensCountedByAPublishedSnapshotAreAlwaysFound) {
+  ServeFrontend frontend(build_base_filter(small_base()), {1, 2});
+  constexpr std::uint64_t kUser = 1;
+  // Every training message is made of spellings nothing else interns. In
+  // total they are at least as many as the interner already holds, so the
+  // trains cross at least one doubling of its hash table while the reader
+  // below scans snapshots.
+  constexpr std::size_t kWords = 500;
+  const std::size_t fresh =
+      std::max<std::size_t>(spambayes::global_interner().size(), 4'096);
+  const std::size_t trains = fresh / kWords + 1;
+  std::vector<std::string> messages;
+  for (std::size_t m = 0; m < trains; ++m) {
+    std::string raw = "From: feedback@example.com\nSubject: lkq" +
+                      std::to_string(m) + "\n\n";
+    for (std::size_t w = 0; w < kWords; ++w) {
+      raw += "lkq" + std::to_string(m) + "w" + std::to_string(w) + " ";
+    }
+    messages.push_back(raw + "\n");
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> passes{0};
+  std::atomic<std::uint64_t> nonempty_passes{0};
+  std::atomic<std::uint64_t> unfound{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const OverlaySnapshot overlay = frontend.overlay(kUser);
+      unfound.fetch_add(unfound_counted_tokens(overlay),
+                        std::memory_order_relaxed);
+      if (overlay != nullptr) {
+        nonempty_passes.fetch_add(1, std::memory_order_relaxed);
+      }
+      passes.fetch_add(1, std::memory_order_release);
+    }
+  });
+  for (const std::string& raw : messages) {
+    const std::uint64_t seen = passes.load(std::memory_order_acquire);
+    TrainRequest t;
+    t.user_id = kUser;
+    t.message = raw;
+    frontend.train(t);
+    // Let the reader finish at least one scan per train, so scans overlap
+    // trains however the threads are scheduled.
+    while (passes.load(std::memory_order_acquire) <= seen) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(unfound.load(), 0u);
+  EXPECT_GT(nonempty_passes.load(), 0u);
+  EXPECT_EQ(unfound_counted_tokens(frontend.overlay(kUser)), 0u);
+  EXPECT_GE(frontend.overlay(kUser)->vocabulary_size(), kWords * trains);
 }
 
 }  // namespace

@@ -210,5 +210,36 @@ TEST(Tokenizer, DeterministicAcrossCalls) {
   EXPECT_EQ(tok.tokenize_text(text), tok.tokenize_text(text));
 }
 
+TEST(Tokenizer, KnownIdsAreTheInternedStreamWithUnknownTokensDropped) {
+  email::Message m = email::MessageBuilder()
+                         .from("alice@corp.example")
+                         .subject("Quarterly Budget")
+                         .body("budget review http://a.example/offer "
+                               "unknownword budget\n")
+                         .build();
+  Tokenizer tok;
+  TokenInterner interner;
+  const TokenList spellings = tok.tokenize(m);
+  // Intern every other distinct spelling; the rest stay unknown.
+  const TokenSet distinct = unique_tokens(spellings);
+  for (std::size_t i = 0; i < distinct.size(); i += 2) {
+    interner.intern(distinct[i]);
+  }
+  const std::size_t interned = interner.size();
+
+  TokenIdList expected;
+  for (const std::string& t : spellings) {
+    if (const auto id = interner.find(t)) expected.push_back(*id);
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(expected.size(), spellings.size());
+  EXPECT_EQ(tok.tokenize_known_ids(m, interner), expected);
+  EXPECT_EQ(interner.size(), interned);  // lookup-only: nothing inserted
+
+  // Once everything is interned, the known stream is the full id stream.
+  const TokenIdList all = tok.tokenize_ids(m, interner);
+  EXPECT_EQ(tok.tokenize_known_ids(m, interner), all);
+}
+
 }  // namespace
 }  // namespace sbx::spambayes
