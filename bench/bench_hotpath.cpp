@@ -1,6 +1,7 @@
 // bench_hotpath: machine-readable perf baselines for the hot paths the
 // interning + score-engine refactors target — classification (msgs/sec)
-// through the legacy string-set path, the interned id path and the
+// through the legacy string-set path, the interned id path, the
+// base + overlay path served users with feedback take and the
 // generation-cached ScoreEngine (single-message and zero-alloc batch),
 // train/untrain round trips (ops/sec) and tokenization (MB/s), including
 // the lookup-only tokenize served classify runs.
@@ -102,6 +103,23 @@ int main(int argc, char** argv) {
     g_sink = filter.classifier().score_ids(filter.database(), probe_ids).score;
   });
 
+  // Overlay path: the same probe against the filter plus a 28-message
+  // per-user overlay (the served feedback steady state), scored through
+  // the engine's fresh base + overlay source.
+  util::Rng overlay_rng(5);
+  spambayes::TokenDatabase overlay;
+  for (int i = 0; i < 14; ++i) {
+    overlay.train_ham_ids(spambayes::unique_token_ids(
+        tok.tokenize_ids(gen.generate_ham(overlay_rng))));
+    overlay.train_spam_ids(spambayes::unique_token_ids(
+        tok.tokenize_ids(gen.generate_spam(overlay_rng))));
+  }
+  const double classify_overlay = ops_per_sec(min_seconds, [&] {
+    g_sink = filter.classifier()
+                 .score_ids(filter.database(), overlay, probe_ids)
+                 .score;
+  });
+
   // Engine path: same probe against the same static database; the memoized
   // per-token probabilities/log-terms stay warm across calls, which is
   // exactly the experiment-loop shape (thousands of classifies between
@@ -190,6 +208,7 @@ int main(int argc, char** argv) {
       {"classify_interned_msgs_per_sec", classify_interned},
       {"classify_engine_msgs_per_sec", classify_engine},
       {"classify_engine_batch_msgs_per_sec", classify_engine_batch},
+      {"classify_overlay_msgs_per_sec", classify_overlay},
       {"train_untrain_string_ops_per_sec", train_string},
       {"train_untrain_interned_ops_per_sec", train_interned},
       {"tokenize_to_set_string_mb_per_sec", tokenize_string},

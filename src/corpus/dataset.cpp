@@ -27,12 +27,6 @@ std::size_t TokenizedDataset::count(TrueLabel label) const {
                     }));
 }
 
-TokenizedMessage::TokenizedMessage(spambayes::TokenSet tokens_in,
-                                   TrueLabel label_in)
-    : tokens(std::move(tokens_in)),
-      ids(spambayes::intern_tokens(tokens)),
-      label(label_in) {}
-
 TokenizedMessage::TokenizedMessage(spambayes::TokenIdSet ids_in,
                                    TrueLabel label_in)
     : ids(std::move(ids_in)), label(label_in) {}
@@ -42,9 +36,10 @@ TokenizedDataset tokenize_dataset(const Dataset& dataset,
   TokenizedDataset out;
   out.items.reserve(dataset.items.size());
   for (const auto& item : dataset.items) {
-    const spambayes::TokenList raw = tokenizer.tokenize(item.message);
+    spambayes::TokenIdList raw = tokenizer.tokenize_ids(item.message);
     out.raw_tokens += raw.size();
-    out.items.emplace_back(spambayes::unique_tokens(raw), item.label);
+    out.items.emplace_back(spambayes::unique_token_ids(std::move(raw)),
+                           item.label);
   }
   return out;
 }

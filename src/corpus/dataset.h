@@ -36,17 +36,14 @@ struct Dataset {
   std::size_t count(TrueLabel label) const;
 };
 
-/// A corpus message reduced to its deduplicated token set — the form the
-/// evaluation harness uses so each message is tokenized exactly once. The
-/// interned `ids` are the hot-path representation (train/untrain/classify);
-/// the string `tokens` are kept for reporting and legacy callers.
+/// A corpus message reduced to its deduplicated interned token set — the
+/// form the evaluation harness uses so each message is tokenized exactly
+/// once (resolve spellings on demand via TokenInterner::spelling).
 struct TokenizedMessage {
-  spambayes::TokenSet tokens;
   spambayes::TokenIdSet ids;
   TrueLabel label = TrueLabel::ham;
 
   TokenizedMessage() = default;
-  TokenizedMessage(spambayes::TokenSet tokens_in, TrueLabel label_in);
   TokenizedMessage(spambayes::TokenIdSet ids_in, TrueLabel label_in);
 };
 
@@ -62,7 +59,7 @@ struct TokenizedDataset {
 };
 
 /// Tokenizes every message with the given tokenizer (one pass per message;
-/// fills both the string sets, the interned id sets and raw_tokens).
+/// fills the interned id sets and raw_tokens).
 TokenizedDataset tokenize_dataset(const Dataset& dataset,
                                   const spambayes::Tokenizer& tokenizer);
 

@@ -1,7 +1,6 @@
 #include "serve/frontend.h"
 
 #include <algorithm>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -117,25 +116,21 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
     ids.push_back(base_.message_known_token_ids(email::parse_message(raw)));
   }
 
+  // One engine batch per request. A null overlay means the base filter
+  // IS this user's model: the generation-cached memo, the same path the
+  // batch experiments take. Otherwise the engine scores base + overlay
+  // counts fresh, leaving the per-base memo untouched.
   ClassifyBatchResponse response;
   response.results.resize(ids.size());
-  if (!overlay) {
-    // Empty overlay: the base filter IS this user's model. Pump the
-    // generation-cached zero-alloc batch path — bit-identical to the
-    // batch experiments' classify path.
-    spambayes::ScoreEngine::for_current_thread(base_.options().classifier)
-        .score_ids_batch(
-            base_.database(), std::span<const spambayes::TokenIdList>(ids),
-            [&](std::size_t i, const spambayes::BatchScore& s) {
-              response.results[i] = {s.score, verdict_to_byte(s.verdict)};
-            });
-  } else {
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const spambayes::ScoreIdResult r =
-          base_.classifier().score_ids(base_.database(), *overlay, ids[i]);
-      response.results[i] = {r.score, verdict_to_byte(r.verdict)};
-    }
-  }
+  spambayes::ScoreEngine::for_current_thread(base_.options().classifier)
+      .score_batch(
+          base_.database(), overlay.get(), ids.size(),
+          [&](std::size_t i) -> const spambayes::TokenIdList& {
+            return ids[i];
+          },
+          [&](std::size_t i, const spambayes::BatchScore& s) {
+            response.results[i] = {s.score, verdict_to_byte(s.verdict)};
+          });
   shard.record_classified(at.local, ids.size());
   classify_requests_.fetch_add(1, std::memory_order_relaxed);
   return response;

@@ -8,14 +8,15 @@
 //
 // Consistency contract (the ISSUE's correctness bar):
 //
+//  * every classify batch is one ScoreEngine::score_batch call on the
+//    calling thread's engine;
 //  * a user with an empty overlay classifies bit-identically to the base
-//    filter — the classify path pumps the base through the
-//    generation-cached ScoreEngine batch API, the same code path batch
-//    experiments use;
+//    filter — the batch runs on the engine's generation-cached memo, the
+//    same code path batch experiments use;
 //  * a user whose overlay was trained on messages M classifies
-//    bit-identically to a standalone Filter copy trained on M — merged
-//    counts are exact uint32 sums, so Classifier::score_ids(base, overlay)
-//    sees the same doubles as a merged database would;
+//    bit-identically to a standalone Filter copy trained on M — the batch
+//    runs on the engine's fresh source, whose exact 64-bit count sums give
+//    the same doubles a merged database would;
 //  * one classify batch reads one overlay snapshot: mutations that land
 //    mid-batch affect later requests, never a half-scored batch;
 //  * classify never writes the token interner. It acquires the overlay

@@ -4,13 +4,15 @@
 // copy-on-write delta overlay on a shared immutable base TokenDatabase.
 //
 // Every user starts with a null overlay — classification then runs
-// directly against the base through the generation-cached ScoreEngine, so
-// an idle fleet of a million users costs one database, one memo, zero
+// directly against the base on ScoreEngine's memoized source, so an idle
+// fleet of a million users costs one database, one memo per thread, zero
 // per-user bytes beyond the slot itself. The first train/untrain call
 // materializes a private delta database holding only that user's
-// feedback; classification merges it with the base on the fly
-// (Classifier's overlay-aware score_ids), which is bit-identical to a
-// standalone filter trained on base + overlay messages.
+// feedback; classification then sums it with the base on ScoreEngine's
+// fresh source, which is bit-identical to a standalone filter trained on
+// base + overlay messages and never touches the base's memo. A train
+// that would wrap a uint32 count throws from prepare(), so the copy is
+// discarded before anything is logged or published.
 //
 // Publication protocol (the lock-free read contract): mutations never
 // modify a published overlay. They copy it, mutate the copy, and publish

@@ -1,19 +1,19 @@
 // sbx/spambayes/classifier.h
 //
-// The Robinson/Fisher scoring core of SpamBayes (paper §2.3, Eq. 1-4):
-// per-token spam scores smoothed toward a prior, combined across the most
-// significant tokens with Fisher's method, thresholded into
-// ham / unsure / spam.
+// The public face of the Robinson/Fisher scoring core of SpamBayes (paper
+// §2.3, Eq. 1-4): per-token spam scores smoothed toward a prior, combined
+// across the most significant tokens with Fisher's method, thresholded
+// into ham / unsure / spam.
 //
-// Two entry points share one arithmetic core and produce bit-identical
-// scores:
-//  * score_ids() — the hot path. Runs entirely over interned id arrays:
-//    per-token counts are indexed loads, no string hashing, no per-token
-//    allocation. Token spellings are consulted only to break an exact
-//    score-distance tie deterministically (rare, lock-free lookup).
-//  * score() — the string-set wrapper, kept for the public API and tests.
-//    Evidence entries carry spellings and appear in the input (sorted
-//    string) order, exactly as before the interning refactor.
+// Classifier holds no scoring logic of its own. Its score/score_ids
+// methods forward to ScoreEngine's fresh source (score_engine.h), the one
+// implementation of delta(E) selection and the Fisher combination, on a
+// per-thread engine kept apart from the memoizing one Filter uses:
+//  * score_ids() — over interned id arrays, against one database or the
+//    virtual merge of a base database and an overlay.
+//  * score() — the string-set wrapper: interns the set, scores it, and
+//    returns evidence with spellings in the input order.
+// The types and verdict cutoffs every scoring path shares live here too.
 #pragma once
 
 #include <string>
@@ -75,7 +75,9 @@ struct ScoreIdResult {
   std::vector<TokenIdEvidence> evidence;  // in input-id order
 };
 
-/// Stateless scorer over a TokenDatabase snapshot.
+/// Stateless scorer over a TokenDatabase snapshot. Every scoring method
+/// forwards to ScoreEngine::score_fresh, so repeated calls never touch a
+/// memo (use Filter::classify_ids or a ScoreEngine for warm loops).
 class Classifier {
  public:
   explicit Classifier(ClassifierOptions opts = {});
@@ -86,7 +88,8 @@ class Classifier {
   /// f(w) for an interned token (the hot-path form).
   double token_score(const TokenDatabase& db, TokenId id) const;
 
-  /// Scores a deduplicated token set; fills the full breakdown.
+  /// Scores a deduplicated token set; fills the full breakdown. Interns
+  /// the set; evidence entries follow the input order.
   ScoreResult score(const TokenDatabase& db, const TokenSet& tokens) const;
 
   /// Scores a deduplicated id set. `ids` may be in any order (the score is
@@ -98,13 +101,11 @@ class Classifier {
 
   /// Overlay-aware scoring view: scores `ids` against the virtual merge of
   /// a shared immutable `base` database and a per-user `overlay` delta,
-  /// without materializing the merge. Per-token counts are the uint32 sums
-  /// base + overlay and the class totals NS/NH are summed the same way —
-  /// exactly the values a database trained on both message sets would hold
-  /// (counts are additive, TokenDatabase::merge does the same additions) —
-  /// so every score is bit-identical to score_ids() on such a merged
-  /// database. This is the serving layer's classify path for users with a
-  /// non-empty copy-on-write overlay (src/serve/).
+  /// without materializing the merge. Per-token counts and the class
+  /// totals NS/NH are summed in 64 bits — exactly the values a database
+  /// trained on both message sets would hold (counts are additive) — so
+  /// every score is bit-identical to score_ids() on such a merged database
+  /// whenever its uint32 counts do not wrap.
   ScoreIdResult score_ids(const TokenDatabase& base,
                           const TokenDatabase& overlay,
                           const TokenIdList& ids) const;

@@ -89,7 +89,7 @@ class Filter {
   template <typename GetIds, typename Sink>
   void classify_batch(std::size_t count, GetIds&& ids_of, Sink&& sink) const {
     ScoreEngine::for_current_thread(opts_.classifier)
-        .score_batch(db_, count, std::forward<GetIds>(ids_of),
+        .score_batch(db_, nullptr, count, std::forward<GetIds>(ids_of),
                      std::forward<Sink>(sink));
   }
 

@@ -3,11 +3,10 @@
 // Token interning: a process-wide string -> TokenId table with arena-backed
 // storage. Every distinct token spelling is stored exactly once and mapped
 // to a dense uint32 id; the hot paths (TokenDatabase train/untrain,
-// Classifier::score_ids) then operate on flat id arrays with no string
-// hashing and no per-token allocation. The id -> spelling direction is a
-// lock-free chunked lookup, so reporting and the classifier's deterministic
-// tie-break (compare spellings only on an exact score-distance tie) stay
-// cheap.
+// ScoreEngine) then operate on flat id arrays with no string hashing and
+// no per-token allocation. The id -> spelling direction is a lock-free
+// chunked lookup, so reporting and the scorer's deterministic tie-break
+// (compare spellings only on an exact score-distance tie) stay cheap.
 //
 // Concurrency contract:
 //  * intern() is safe from any thread. The warm path (token already

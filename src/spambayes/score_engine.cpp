@@ -24,9 +24,27 @@ std::uint64_t spelling_prefix(std::string_view spelling) {
   return key;
 }
 
+/// A sum of two uint32 counts as a double. The 64-bit sum cannot wrap,
+/// and below 2^32 it converts to the same double as a uint32 count of
+/// that value, i.e. a database trained on both message sets.
+double wide_sum(std::uint32_t a, std::uint32_t b) {
+  return static_cast<double>(std::uint64_t{a} + b);
+}
+
+/// The overlay of a fresh score with no overlay: all counts zero.
+const TokenDatabase& empty_database() {
+  static const TokenDatabase empty;
+  return empty;
+}
+
 }  // namespace
 
 ScoreEngine::ScoreEngine(ClassifierOptions opts) : opts_(opts) {}
+
+ScoreEngine::LogTerms ScoreEngine::log_terms(double f) {
+  const double clamped = std::clamp(f, 1e-300, 1.0 - 1e-15);
+  return {std::log(clamped), std::log1p(-clamped)};
+}
 
 void ScoreEngine::rebind_options(const ClassifierOptions& opts) {
   if (opts.unknown_word_strength != opts_.unknown_word_strength ||
@@ -68,11 +86,7 @@ const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
     m.distance = detail::distance_from_neutral(f);
     m.strong = detail::admits(m.distance, opts_);
     if (m.strong) {
-      // Identical clamp + libm calls to Classifier's combine step, just
-      // evaluated once per (token, generation) instead of per message.
-      const double clamped = std::clamp(f, 1e-300, 1.0 - 1e-15);
-      m.log_f = std::log(clamped);
-      m.log_1mf = std::log1p(-clamped);
+      m.logs = log_terms(f);
       m.spell_prefix = spelling_prefix(global_interner().spelling(id));
     }
     m.epoch = epoch_;
@@ -80,91 +94,127 @@ const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
   return m;
 }
 
-void ScoreEngine::score_into(const TokenDatabase& db, const TokenIdList& ids,
-                             BatchScore& out) {
-  evidence_.clear();
+void ScoreEngine::score_one(const TokenDatabase& base,
+                            const TokenDatabase* overlay,
+                            const TokenIdList& ids,
+                            std::vector<TokenIdEvidence>& evidence,
+                            BatchScore& out) {
+  evidence.clear();
   candidates_.clear();
-  for (TokenId id : ids) {
-    const TokenMemo& m = memo_for(db, id);
-    evidence_.push_back({id, m.f, false});
-    if (m.strong) {
-      const SortKey key =
-          (static_cast<SortKey>(~std::bit_cast<std::uint64_t>(m.distance))
-           << 64) |
-          m.spell_prefix;
-      candidates_.push_back(
-          {key, static_cast<std::uint32_t>(evidence_.size() - 1)});
+  // Queues the last evidence entry as a delta(E) candidate (see SortKey).
+  const auto admit = [&](double distance, std::uint64_t spell_prefix) {
+    const auto index = static_cast<std::uint32_t>(evidence.size() - 1);
+    const auto bits = ~std::bit_cast<std::uint64_t>(distance);
+    candidates_.push_back(
+        {(static_cast<SortKey>(bits) << 64) | spell_prefix, index});
+  };
+  const TokenInterner& interner = global_interner();
+  if (overlay == nullptr) {
+    for (TokenId id : ids) {
+      const TokenMemo& m = memo_for(base, id);
+      evidence.push_back({id, m.f, false});
+      if (m.strong) admit(m.distance, m.spell_prefix);
+    }
+  } else {
+    const double ns = wide_sum(base.spam_count(), overlay->spam_count());
+    const double nh = wide_sum(base.ham_count(), overlay->ham_count());
+    for (TokenId id : ids) {
+      const TokenCounts b = base.counts(id);
+      const TokenCounts o = overlay->counts(id);
+      const double f = detail::score_from_counts(
+          wide_sum(b.spam, o.spam), wide_sum(b.ham, o.ham), ns, nh, opts_);
+      evidence.push_back({id, f, false});
+      const double distance = detail::distance_from_neutral(f);
+      if (detail::admits(distance, opts_)) {
+        admit(distance, spelling_prefix(interner.spelling(id)));
+      }
     }
   }
 
-  // Delta(E) selection in the exact (distance desc, spelling asc) total
-  // order Classifier uses — one packed-integer compare stands in for the
-  // (distance, spelling) pair (see Candidate::key; distance ties are
-  // common in small corpora and full string compares are the expensive
-  // part of the sort), and only a prefix collision falls back to the
-  // interner. Same strict total order, so the selected set, its order,
-  // and with it every floating-point summation are identical.
-  const TokenInterner& interner = global_interner();
+  // Select delta(E): up to max_discriminators admitted tokens in the
+  // strict total order (distance from 0.5 desc, spelling asc). One packed
+  // integer compare stands in for the pair (distance ties are common in
+  // small corpora, and full string compares are the expensive part of the
+  // sort); only a prefix collision falls back to the interner. Because the
+  // order is strict and total, nth_element + prefix sort yields exactly
+  // the prefix a full sort would, and the outcome — with every
+  // floating-point summation below — does not depend on input order.
   const auto stronger = [&](const Candidate& a, const Candidate& b) {
     if (a.key != b.key) return a.key < b.key;
-    return interner.spelling(evidence_[a.index].id) <
-           interner.spelling(evidence_[b.index].id);
+    return interner.spelling(evidence[a.index].id) <
+           interner.spelling(evidence[b.index].id);
   };
   if (candidates_.size() > opts_.max_discriminators) {
     const auto cut = candidates_.begin() +
                      static_cast<std::ptrdiff_t>(opts_.max_discriminators);
     std::nth_element(candidates_.begin(), cut, candidates_.end(), stronger);
     candidates_.resize(opts_.max_discriminators);
-    std::sort(candidates_.begin(), candidates_.end(), stronger);
-  } else {
-    std::sort(candidates_.begin(), candidates_.end(), stronger);
   }
+  std::sort(candidates_.begin(), candidates_.end(), stronger);
 
   const std::size_t n = candidates_.size();
   out.tokens_used = n;
+  out.evidence = {evidence.data(), evidence.size()};
   if (n == 0) {
+    // No evidence: I = 0.5, which the default thresholds call unsure.
     out.score = 0.5;
     out.spam_evidence = out.ham_evidence = 0.5;
     out.verdict = Classifier::verdict_for(out.score, opts_.ham_cutoff,
                                           opts_.spam_cutoff);
-    out.evidence = {evidence_.data(), evidence_.size()};
     return;
   }
 
   double sum_log_f = 0.0;
   double sum_log_1mf = 0.0;
   for (const Candidate& candidate : candidates_) {
-    TokenIdEvidence& ev = evidence_[candidate.index];
+    TokenIdEvidence& ev = evidence[candidate.index];
     ev.used = true;
-    const TokenMemo& m = memo_[ev.id];  // filled above, same epoch
-    sum_log_f += m.log_f;
-    sum_log_1mf += m.log_1mf;
+    // The memo holds the same libm results log_terms() computes.
+    const LogTerms logs =
+        overlay == nullptr ? memo_[ev.id].logs : log_terms(ev.score);
+    sum_log_f += logs.log_f;
+    sum_log_1mf += logs.log_1mf;
   }
 
+  // Eq. 4 (survival form): H = Q(-2 sum log f; 2n), S = Q(-2 sum log(1-f)).
+  // The pair form interleaves the two independent Erlang folds
+  // (bit-identical to two single calls, roughly half the wall clock).
   double h;
   double s;
   util::chi2q_even_dof_pair(-2.0 * sum_log_f, -2.0 * sum_log_1mf, n, &h, &s);
   out.spam_evidence = h;
   out.ham_evidence = s;
-  out.score = (1.0 + h - s) / 2.0;
+  out.score = (1.0 + h - s) / 2.0;  // Eq. 3
   out.verdict = Classifier::verdict_for(out.score, opts_.ham_cutoff,
                                         opts_.spam_cutoff);
-  out.evidence = {evidence_.data(), evidence_.size()};
 }
 
-ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
-                                     const TokenIdList& ids) {
-  bind(db);
-  BatchScore scored;
-  score_into(db, ids, scored);
+ScoreIdResult ScoreEngine::score_to_result(const TokenDatabase& base,
+                                           const TokenDatabase* overlay,
+                                           const TokenIdList& ids) {
   ScoreIdResult result;
+  result.evidence.reserve(ids.size());
+  BatchScore scored;
+  score_one(base, overlay, ids, result.evidence, scored);
   result.score = scored.score;
   result.spam_evidence = scored.spam_evidence;
   result.ham_evidence = scored.ham_evidence;
   result.tokens_used = scored.tokens_used;
   result.verdict = scored.verdict;
-  result.evidence.assign(scored.evidence.begin(), scored.evidence.end());
   return result;
+}
+
+ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
+                                     const TokenIdList& ids) {
+  bind(db);
+  return score_to_result(db, nullptr, ids);
+}
+
+ScoreIdResult ScoreEngine::score_fresh(const TokenDatabase& base,
+                                       const TokenDatabase* overlay,
+                                       const TokenIdList& ids) {
+  return score_to_result(base, overlay != nullptr ? overlay : &empty_database(),
+                         ids);
 }
 
 ScoreEngine& ScoreEngine::for_current_thread(const ClassifierOptions& opts) {

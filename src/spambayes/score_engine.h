@@ -1,39 +1,40 @@
 // sbx/spambayes/score_engine.h
 //
-// Generation-cached batch scoring engine. Classifier::score_ids recomputes
-// Eq. 1-2 and the per-discriminator log(f)/log1p(-f) pair for every token
-// of every message, yet the underlying TokenDatabase only changes at
-// discrete training events — across an experiment's classify loops the
-// same libm transcendentals are evaluated thousands of times on identical
-// inputs. ScoreEngine memoizes them once per (token, database generation):
-// a flat vector indexed by TokenId holds each token's smoothed probability
-// f, its precomputed log(f) and log1p(-f), its distance from 0.5 and a
-// passes-minimum_prob_strength flag. The memoized values are the *same*
-// libm calls Classifier would make, evaluated once instead of once per
-// occurrence per message, and the Fisher combination consumes them in the
-// exact candidate order Classifier uses — so every score, evidence entry
-// and verdict is bit-identical to Classifier::score_ids by construction
-// (tests/spambayes/score_engine_test.cpp holds this to EXPECT_EQ on
-// doubles).
+// The one SpamBayes scorer (paper §2.3, Eq. 1-4): per-token f(w), the
+// delta(E) selection of the strongest tokens and the Fisher/chi-square
+// combination into I(E). Classifier, Filter, the serving frontend and the
+// experiment loops all end in one selection/combine routine, which runs
+// over one of two per-token value sources:
 //
-// Invalidation contract: TokenDatabase::generation() values are process-
-// globally unique per mutation, so `generation() == cached` proves the
-// cached per-token values are still exact; any train/untrain/merge/load
-// moves the database to a never-before-seen generation and the engine
-// lazily refills on the next score call. Stale reuse after a mutation is
-// therefore impossible by construction, and score_batch() additionally
-// *throws* if the database is mutated mid-batch (one batch = one
-// snapshot).
+//  * Memoized (score_ids; score_batch without an overlay): f(w), its
+//    log(f)/log1p(-f) pair, its distance from 0.5 and an admission flag,
+//    computed once per (token, database generation) into a flat vector
+//    indexed by TokenId. The database only changes at training events, so
+//    classify loops skip the libm calls entirely once warm.
+//  * Fresh (score_fresh; score_batch with an overlay): f(w) from the
+//    64-bit sum of a base's and an overlay's counts, per message, with
+//    logs only for the <= max_discriminators selected tokens. It never
+//    reads, writes or invalidates the memo.
 //
-// Thread ownership: a ScoreEngine is mutable scratch — one engine per
-// thread, never shared. for_current_thread() hands out a thread_local
-// engine (rebinding it to the requested options), which is what lets a
-// *const* Filter be classified from many threads at once: each thread
-// memoizes into its own engine and all of them produce identical bits.
+// Both run the same floating-point operations on the same inputs in the
+// same candidate order, so they agree bit for bit with each other and
+// with a database trained on base + overlay messages
+// (tests/spambayes/interned_equivalence_test.cpp, EXPECT_EQ on doubles).
+//
+// Invalidation: TokenDatabase::generation() is process-globally unique
+// per mutation, so `generation() == cached` proves the memo exact; any
+// train/untrain/merge/load moves it and the next memoized call refills
+// lazily. A batch scores one snapshot: mutating a database it reads from
+// the sink throws on the next message.
+//
+// Thread ownership: an engine is mutable scratch, one per thread.
+// for_current_thread() hands out a thread_local engine, which is what lets
+// a shared *const* Filter be classified from many threads at once.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "spambayes/classifier.h"
@@ -57,31 +58,40 @@ struct BatchScore {
   std::span<const TokenIdEvidence> evidence;  // in input-id order
 };
 
-/// Memoizing scorer. Bit-identical to Classifier::score_ids for any
-/// database/options; owns per-token memo + per-message scratch buffers.
+/// The scorer. Owns the per-token memo and per-message scratch buffers.
 class ScoreEngine {
  public:
   explicit ScoreEngine(ClassifierOptions opts = {});
 
-  /// Scores one deduplicated id set; drop-in for Classifier::score_ids
-  /// (same result type, same bits, same evidence order).
+  /// Scores one deduplicated id set (any order; evidence entries follow
+  /// the input order) against `db` through the memo.
   ScoreIdResult score_ids(const TokenDatabase& db, const TokenIdList& ids);
+
+  /// Scores `ids` against the summed counts of `base` and `overlay` (null:
+  /// `base` alone) on the fresh source, leaving the memo untouched.
+  ScoreIdResult score_fresh(const TokenDatabase& base,
+                            const TokenDatabase* overlay,
+                            const TokenIdList& ids);
 
   /// Zero-allocation batch path: scores ids_of(i) for i in [0, count) and
   /// calls sink(i, const BatchScore&) for each. ids_of must return a
-  /// reference to a TokenIdList (deduplicated ids, any order). The
-  /// database is one snapshot for the whole batch: mutating it from the
-  /// sink throws sbx::InvalidArgument on the next message (generation
-  /// mismatch).
+  /// reference to a TokenIdList (deduplicated ids, any order). With a
+  /// null `overlay` the batch runs on the memo over `base`; otherwise on
+  /// the fresh source over base + overlay. The databases are one snapshot
+  /// for the whole batch: mutating either from the sink throws
+  /// sbx::InvalidArgument on the next message (generation mismatch).
   template <typename GetIds, typename Sink>
-  void score_batch(const TokenDatabase& db, std::size_t count,
-                   GetIds&& ids_of, Sink&& sink) {
-    bind(db);
-    const std::uint64_t bound = generation_;
+  void score_batch(const TokenDatabase& base, const TokenDatabase* overlay,
+                   std::size_t count, GetIds&& ids_of, Sink&& sink) {
+    if (overlay == nullptr) bind(base);
+    const std::uint64_t base_generation = base.generation();
+    const std::uint64_t overlay_generation =
+        overlay != nullptr ? overlay->generation() : 0;
     BatchScore out;
     for (std::size_t i = 0; i < count; ++i) {
-      check_generation(db, bound);
-      score_into(db, ids_of(i), out);
+      check_generation(base, base_generation);
+      if (overlay != nullptr) check_generation(*overlay, overlay_generation);
+      score_one(base, overlay, ids_of(i), evidence_, out);
       sink(i, static_cast<const BatchScore&>(out));
     }
   }
@@ -91,7 +101,7 @@ class ScoreEngine {
   void score_ids_batch(const TokenDatabase& db,
                        std::span<const TokenIdList> messages, Sink&& sink) {
     score_batch(
-        db, messages.size(),
+        db, nullptr, messages.size(),
         [&](std::size_t i) -> const TokenIdList& { return messages[i]; },
         std::forward<Sink>(sink));
   }
@@ -104,8 +114,8 @@ class ScoreEngine {
 
   const ClassifierOptions& options() const { return opts_; }
 
-  /// Generation of the last database this engine scored against (0 =
-  /// none yet). Exposed for tests of the invalidation contract.
+  /// Generation of the last database this engine memoized (0 = none
+  /// yet). Exposed for tests of the invalidation contract.
   std::uint64_t cached_generation() const { return generation_; }
 
   /// The calling thread's engine, rebound to `opts`. Filter::classify_ids
@@ -114,18 +124,18 @@ class ScoreEngine {
   static ScoreEngine& for_current_thread(const ClassifierOptions& opts);
 
  private:
-  /// Memoized per-token values, exact for the bound (generation, options)
-  /// pair iff epoch == engine epoch. log_f/log_1mf are only meaningful
-  /// when strong (weak tokens are never selected into delta(E));
-  /// spell_prefix is the spelling's first 8 bytes as a big-endian integer,
-  /// so the tie-break comparator resolves almost every spelling
-  /// comparison with one integer compare (equal prefixes fall back to the
-  /// full string, preserving the exact (distance desc, spelling asc)
-  /// total order the Classifier uses).
-  struct TokenMemo {
-    double f = 0.5;
+  /// log(f) and log1p(-f) of a discriminator's score f.
+  struct LogTerms {
     double log_f = 0.0;
     double log_1mf = 0.0;
+  };
+
+  /// Memoized per-token values, exact for the bound (generation, options)
+  /// pair iff epoch == engine epoch. logs/spell_prefix are only meaningful
+  /// when strong (weak tokens are never selected into delta(E)).
+  struct TokenMemo {
+    double f = 0.5;
+    LogTerms logs;
     double distance = 0.0;
     std::uint64_t spell_prefix = 0;
     std::uint64_t epoch = 0;  // 0 never matches (engine epochs start at 1)
@@ -136,8 +146,8 @@ class ScoreEngine {
   /// 128-bit integer: the high lane is the bitwise complement of the
   /// distance's IEEE-754 bits (distance >= 0, so raw bits order doubles
   /// numerically and the complement flips the direction), the low lane
-  /// the big-endian 8-byte spelling prefix. Ascending key order is then
-  /// exactly the Classifier's (distance desc, spelling asc) total order,
+  /// the spelling's first 8 bytes as a big-endian integer. Ascending key
+  /// order is then exactly the (distance desc, spelling asc) total order,
   /// except for prefix collisions, which the comparator resolves with a
   /// full spelling comparison.
   // GCC/Clang extension; __extension__ silences -Wpedantic (the build has
@@ -146,10 +156,15 @@ class ScoreEngine {
 
   struct Candidate {
     SortKey key;
-    std::uint32_t index;  // into evidence_
+    std::uint32_t index;  // into the message's evidence
   };
 
-  /// Re-syncs to db's generation, invalidating the memo when it moved.
+  /// The clamp + libm calls behind LogTerms. With s > 0 the smoothed
+  /// score is strictly inside (0,1); the clamp keeps a degenerate
+  /// configuration (s == 0) from producing log(0).
+  static LogTerms log_terms(double f);
+
+  /// Re-syncs the memo to db's generation, invalidating it when it moved.
   void bind(const TokenDatabase& db);
 
   /// Throws when db no longer matches the generation a batch bound.
@@ -158,9 +173,17 @@ class ScoreEngine {
   /// The memo entry for `id`, filled on first use this epoch.
   const TokenMemo& memo_for(const TokenDatabase& db, TokenId id);
 
-  /// Scores one message into `out` using the memo + scratch buffers.
-  void score_into(const TokenDatabase& db, const TokenIdList& ids,
-                  BatchScore& out);
+  /// Scores one message into `evidence` (cleared first) and `out`: the
+  /// memo over `base` when `overlay` is null (bind(base) first), else the
+  /// fresh source over base + overlay.
+  void score_one(const TokenDatabase& base, const TokenDatabase* overlay,
+                 const TokenIdList& ids,
+                 std::vector<TokenIdEvidence>& evidence, BatchScore& out);
+
+  /// score_one into a self-contained ScoreIdResult.
+  ScoreIdResult score_to_result(const TokenDatabase& base,
+                                const TokenDatabase* overlay,
+                                const TokenIdList& ids);
 
   ClassifierOptions opts_;
   std::vector<TokenMemo> memo_;  // indexed by TokenId

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -19,6 +20,22 @@ std::uint64_t TokenDatabase::next_generation() {
 void TokenDatabase::add(const TokenIdSet& ids, std::uint32_t copies,
                         bool spam) {
   if (copies == 0) return;
+  // Validate everything before mutating anything, as remove() does: a
+  // count that would wrap past 2^32 - 1 (copies comes straight from a
+  // client's TrainRequest) throws with the contents and generation_
+  // untouched.
+  const std::uint32_t headroom = UINT32_MAX - copies;
+  if ((spam ? nspam_ : nham_) > headroom) {
+    throw InvalidArgument("TokenDatabase: training overflows the email count");
+  }
+  for (TokenId id : ids) {
+    if (id < counts_.size() &&
+        (spam ? counts_[id].spam : counts_[id].ham) > headroom) {
+      throw InvalidArgument(
+          "TokenDatabase: training overflows the count of token '" +
+          std::string(global_interner().spelling(id)) + "'");
+    }
+  }
   // TokenIdSet is sorted, so one resize covers the whole set; the in-loop
   // guard keeps an unsorted caller (the typedefs cannot forbid one) at
   // worst slow, never out of bounds.

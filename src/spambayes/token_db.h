@@ -48,6 +48,8 @@ class TokenDatabase {
   /// (Distinct names, not overloads: a two-element braced string list would
   /// otherwise ambiguously match vector<uint32_t>'s iterator-pair
   /// constructor.)
+  /// Throws InvalidArgument, leaving contents and generation unchanged,
+  /// when a count would pass 2^32 - 1.
   void train_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
   void train_spam(const TokenSet& tokens, std::uint32_t copies = 1);
 

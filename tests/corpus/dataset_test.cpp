@@ -45,12 +45,12 @@ TEST(TokenizeDataset, PreservesLabelsAndDedupes) {
   EXPECT_EQ(td.count(TrueLabel::ham), 2u);
   for (std::size_t i = 0; i < td.size(); ++i) {
     EXPECT_EQ(td.items[i].label, d.items[i].label);
-    // Token sets are sorted and unique.
-    EXPECT_TRUE(std::is_sorted(td.items[i].tokens.begin(),
-                               td.items[i].tokens.end()));
-    EXPECT_EQ(std::adjacent_find(td.items[i].tokens.begin(),
-                                 td.items[i].tokens.end()),
-              td.items[i].tokens.end());
+    // Id sets are sorted and unique.
+    EXPECT_TRUE(std::is_sorted(td.items[i].ids.begin(),
+                               td.items[i].ids.end()));
+    EXPECT_EQ(std::adjacent_find(td.items[i].ids.begin(),
+                                 td.items[i].ids.end()),
+              td.items[i].ids.end());
   }
 }
 

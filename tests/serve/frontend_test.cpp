@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -93,6 +96,61 @@ TEST(ServeFrontend, StatsTrackRequestsAndOverlays) {
   EXPECT_EQ(s.train_requests, 1u);
   EXPECT_EQ(s.overlay_users, 1u);
   EXPECT_EQ(s.base_spam_count + s.base_ham_count, 200u);
+}
+
+TEST(ServeFrontend, TrainThatWouldWrapACountIsRefusedBeforeTheWal) {
+  // TrainRequest.copies is client-controlled. A second train that would
+  // wrap the overlay's uint32 spam total must fail without publishing,
+  // logging or changing any later score.
+  const std::string dir = testing::TempDir() + "sbx_frontend_wrap_" +
+                          std::to_string(static_cast<unsigned>(::getpid()));
+  std::filesystem::remove_all(dir);
+  constexpr std::uint64_t kUser = 4;
+  const std::vector<std::string> feedback = make_messages(2, 81);
+  ClassifyBatchRequest probes;
+  probes.user_id = kUser;
+  probes.messages = make_messages(16, 82);
+  std::vector<ClassifyResult> before;
+  {
+    DurabilityConfig dc;
+    dc.data_dir = dir;
+    dc.fsync = FsyncMode::kNone;
+    ServeFrontend frontend(build_base_filter(small_base()), {2, 8},
+                           std::make_unique<Durability>(dc, 2));
+    TrainRequest t;
+    t.user_id = kUser;
+    t.as_spam = true;
+    t.copies = UINT32_MAX - 5;
+    t.message = feedback[0];
+    const Response accepted = frontend.dispatch(Request(t));
+    ASSERT_TRUE(std::holds_alternative<TrainResponse>(accepted));
+    const OverlaySnapshot overlay = frontend.overlay(kUser);
+    const std::uint64_t wal_records = frontend.stats().wal_records;
+    before = frontend.classify_batch(probes).results;
+
+    t.copies = 6;
+    t.message = feedback[1];
+    const Response refused = frontend.dispatch(Request(t));
+    EXPECT_TRUE(std::holds_alternative<ErrorResponse>(refused));
+    EXPECT_EQ(frontend.overlay(kUser), overlay);
+    EXPECT_EQ(overlay->spam_count(), UINT32_MAX - 5);
+    EXPECT_EQ(frontend.stats().wal_records, wal_records);
+    const auto after = frontend.classify_batch(probes).results;
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(after[i].score, before[i].score) << "probe " << i;
+      EXPECT_EQ(after[i].verdict, before[i].verdict) << "probe " << i;
+    }
+  }
+  // Replay sees only the accepted train and reproduces its scores.
+  ServeFrontend recovered(build_base_filter(small_base()), {2, 8});
+  EXPECT_EQ(recover(recovered, dir).replayed_records, 1u);
+  const auto replayed = recovered.classify_batch(probes).results;
+  ASSERT_EQ(replayed.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(replayed[i].score, before[i].score) << "probe " << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServeFrontend, ClassifyManyMatchesSequentialDispatchBitwise) {

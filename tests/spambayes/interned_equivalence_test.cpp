@@ -1,11 +1,14 @@
 // Equivalence suite for the interned hot paths: proves that the id-based
-// representation (TokenIdSet + flat TokenDatabase + Classifier::score_ids)
-// is bit-identical to the string-keyed implementation it replaced.
+// representation (TokenIdSet + flat TokenDatabase + ScoreEngine) is
+// bit-identical to the string-keyed implementation it replaced, through
+// every scoring source: the memoized engine, the fresh source over one
+// database and over base + overlay, and the string form.
 //
 // The reference implementation below is a verbatim port of the
 // pre-interning classifier/database (unordered_map<string, TokenCounts>,
 // string-sorted tie-break). Every comparison against it is EXPECT_EQ on
 // doubles — bitwise, not approximate.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "corpus/generator.h"
 #include "eval/runner.h"
 #include "spambayes/filter.h"
+#include "spambayes/score_engine.h"
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -229,6 +233,168 @@ TEST(InternedEquivalence, ScoresBitIdenticalToStringKeyedReference) {
     std::sort(expected_used.begin(), expected_used.end());
     std::sort(ids_used.begin(), ids_used.end());
     EXPECT_EQ(expected_used, ids_used) << "probe " << i;
+  }
+}
+
+// --- every scoring source against the reference ----------------------------
+
+/// Asserts that `actual`, scored from ids interned in the order of the
+/// probe's tokens, carries the reference's bits: every aggregate, and per
+/// evidence entry the spelling, f(w) and the delta(E) flag.
+void expect_reference_bits(const ScoreResult& expected,
+                           const ScoreIdResult& actual, const char* what,
+                           std::size_t probe) {
+  EXPECT_EQ(expected.score, actual.score) << what << " probe " << probe;
+  EXPECT_EQ(expected.spam_evidence, actual.spam_evidence) << what;
+  EXPECT_EQ(expected.ham_evidence, actual.ham_evidence) << what;
+  EXPECT_EQ(expected.tokens_used, actual.tokens_used) << what;
+  EXPECT_EQ(expected.verdict, actual.verdict) << what;
+  ASSERT_EQ(expected.evidence.size(), actual.evidence.size()) << what;
+  const TokenInterner& interner = global_interner();
+  for (std::size_t j = 0; j < expected.evidence.size(); ++j) {
+    EXPECT_EQ(expected.evidence[j].token,
+              interner.spelling(actual.evidence[j].id))
+        << what << " probe " << probe << " token " << j;
+    EXPECT_EQ(expected.evidence[j].score, actual.evidence[j].score)
+        << what << " probe " << probe << " token " << j;
+    EXPECT_EQ(expected.evidence[j].used, actual.evidence[j].used)
+        << what << " probe " << probe << " token " << j;
+  }
+}
+
+ScoreIdResult to_result(const BatchScore& scored) {
+  ScoreIdResult out;
+  out.score = scored.score;
+  out.spam_evidence = scored.spam_evidence;
+  out.ham_evidence = scored.ham_evidence;
+  out.tokens_used = scored.tokens_used;
+  out.verdict = scored.verdict;
+  out.evidence.assign(scored.evidence.begin(), scored.evidence.end());
+  return out;
+}
+
+TEST(InternedEquivalence, EverySourceMatchesTheReferenceBitwise) {
+  Corpus corpus(120, 20, 2718);
+  const ClassifierOptions opts = corpus.filter.options().classifier;
+
+  // One training email carrying 200 tokens that share their first 8 bytes:
+  // identical counts give identical distances, and the packed sort key
+  // cannot order them, so selecting among them falls to full spellings.
+  TokenList tie_list;
+  for (int k = 0; k < 200; ++k) {
+    tie_list.push_back("tiebreakprefix-" + std::to_string(k));
+  }
+  const TokenSet ties = unique_tokens(tie_list);
+  corpus.ref.train(ties, /*spam=*/true);
+  corpus.filter.train_spam_tokens(ties);
+  const TokenDatabase& db = corpus.filter.database();
+
+  // A 28-message per-user overlay, and the reference trained on the base
+  // and overlay message sets together.
+  RefDatabase merged = corpus.ref;
+  TokenDatabase overlay;
+  util::Rng rng(31415);
+  for (int i = 0; i < 28; ++i) {
+    const bool spam = i % 2 == 1;
+    const email::Message m = spam ? Corpus::generator().generate_spam(rng)
+                                  : Corpus::generator().generate_ham(rng);
+    const auto copies = static_cast<std::uint32_t>(1 + i % 3);
+    merged.train(corpus.filter.message_tokens(m), spam, copies);
+    if (spam) {
+      overlay.train_spam_ids(corpus.filter.message_token_ids(m), copies);
+    } else {
+      overlay.train_ham_ids(corpus.filter.message_token_ids(m), copies);
+    }
+  }
+
+  // Probes: ordinary messages, the union of all of them (far more than
+  // max_discriminators strong tokens) and a tie-heavy one.
+  std::vector<TokenSet> probes = corpus.probes_tokens;
+  TokenList all;
+  for (const TokenSet& p : corpus.probes_tokens) {
+    all.insert(all.end(), p.begin(), p.end());
+  }
+  probes.push_back(unique_tokens(all));
+  TokenList tie_probe = tie_list;
+  tie_probe.insert(tie_probe.end(), corpus.probes_tokens[1].begin(),
+                   corpus.probes_tokens[1].end());
+  probes.push_back(unique_tokens(tie_probe));
+
+  std::vector<TokenIdList> ids(probes.size());
+  std::vector<ScoreResult> expected;
+  std::vector<ScoreResult> expected_merged;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    for (const auto& t : probes[i]) {
+      ids[i].push_back(global_interner().intern(t));
+    }
+    expected.push_back(ref_score(corpus.ref, probes[i], opts));
+    expected_merged.push_back(ref_score(merged, probes[i], opts));
+  }
+
+  // The probes exercise what they are meant to.
+  const auto strong = [&](const ScoreResult& r) {
+    std::size_t n = 0;
+    for (const auto& ev : r.evidence) {
+      n += std::fabs(ev.score - 0.5) > opts.minimum_prob_strength ? 1 : 0;
+    }
+    return n;
+  };
+  const ScoreResult& big = expected[probes.size() - 2];
+  EXPECT_GT(strong(big), 2 * opts.max_discriminators);
+  EXPECT_EQ(big.tokens_used, opts.max_discriminators);
+  std::size_t ties_used = 0;
+  std::size_t ties_unused = 0;
+  for (const auto& ev : expected.back().evidence) {
+    if (ev.token.rfind("tiebreakprefix-", 0) != 0) continue;
+    (ev.used ? ties_used : ties_unused) += 1;
+  }
+  EXPECT_GT(ties_used, 0u);
+  EXPECT_GT(ties_unused, 0u);
+
+  const Classifier& classifier = corpus.filter.classifier();
+  ScoreEngine engine(opts);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    // The string form: evidence in the input order, spellings included.
+    const ScoreResult via_strings = classifier.score(db, probes[i]);
+    ScoreIdResult as_ids;
+    as_ids.score = via_strings.score;
+    as_ids.spam_evidence = via_strings.spam_evidence;
+    as_ids.ham_evidence = via_strings.ham_evidence;
+    as_ids.tokens_used = via_strings.tokens_used;
+    as_ids.verdict = via_strings.verdict;
+    for (std::size_t j = 0; j < via_strings.evidence.size(); ++j) {
+      const TokenEvidence& ev = via_strings.evidence[j];
+      EXPECT_EQ(ev.token, probes[i][j]);
+      as_ids.evidence.push_back({ids[i][j], ev.score, ev.used});
+    }
+    expect_reference_bits(expected[i], as_ids, "string form", i);
+    // The memoized source, cold and then warm.
+    expect_reference_bits(expected[i], engine.score_ids(db, ids[i]),
+                          "memo cold", i);
+    expect_reference_bits(expected[i], engine.score_ids(db, ids[i]),
+                          "memo warm", i);
+    // The fresh source over one database and over base + overlay.
+    expect_reference_bits(expected[i], classifier.score_ids(db, ids[i]),
+                          "fresh", i);
+    expect_reference_bits(expected_merged[i],
+                          classifier.score_ids(db, overlay, ids[i]),
+                          "fresh base+overlay", i);
+  }
+  // Both sources through the batch call the serving frontend makes.
+  const TokenDatabase* const overlays[] = {nullptr, &overlay};
+  for (const TokenDatabase* extra : overlays) {
+    const std::vector<ScoreResult>& want =
+        extra == nullptr ? expected : expected_merged;
+    const char* what = extra == nullptr ? "memo batch" : "overlay batch";
+    std::size_t seen = 0;
+    engine.score_batch(
+        db, extra, ids.size(),
+        [&](std::size_t i) -> const TokenIdList& { return ids[i]; },
+        [&](std::size_t i, const BatchScore& scored) {
+          ++seen;
+          expect_reference_bits(want[i], to_result(scored), what, i);
+        });
+    EXPECT_EQ(seen, ids.size());
   }
 }
 

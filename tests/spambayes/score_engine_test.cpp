@@ -1,9 +1,11 @@
 // Equivalence + invalidation suite for the generation-cached ScoreEngine:
 //
-//  * the engine's single-message and batch paths are BIT-identical to
-//    Classifier::score_ids (scores, evidence values/ordering/used flags,
-//    verdicts) — every comparison is EXPECT_EQ on doubles, never
-//    approximate;
+//  * the memoized source (single-message and batch) is BIT-identical to
+//    the fresh source Classifier::score_ids forwards to (scores, evidence
+//    values/ordering/used flags, verdicts) — every comparison is EXPECT_EQ
+//    on doubles, never approximate. Both sources share one selection and
+//    combine routine; interned_equivalence_test holds each of them to an
+//    independent pre-interning reference;
 //  * the generation contract makes stale-cache reuse impossible: any
 //    train/untrain/merge/load moves the database to a process-globally
 //    unique generation and the warm memo is refilled, so
@@ -260,6 +262,26 @@ TEST(ScoreEngine, MutationDuringBatchThrows) {
                                            corpus.probes[1]),
       engine.score_ids(corpus.filter.database(), corpus.probes[1]),
       "after recovery");
+}
+
+TEST(ScoreEngine, FreshSourceLeavesTheMemoAlone) {
+  // Scoring another database (or base + overlay) fresh must not rebind or
+  // refill the memo a warm engine holds for its base.
+  EngineCorpus corpus(40, 6, 23);
+  ScoreEngine engine(corpus.filter.options().classifier);
+  const TokenDatabase& db = corpus.filter.database();
+  const ScoreIdResult warm = engine.score_ids(db, corpus.probes[0]);
+  const std::uint64_t bound = engine.cached_generation();
+  TokenDatabase overlay;
+  overlay.train_spam_ids(corpus.probes[1]);
+  engine.score_fresh(overlay, nullptr, corpus.probes[2]);
+  engine.score_batch(
+      db, &overlay, 2,
+      [&](std::size_t i) -> const TokenIdList& { return corpus.probes[i]; },
+      [](std::size_t, const BatchScore&) {});
+  EXPECT_EQ(engine.cached_generation(), bound);
+  expect_bitwise_equal(warm, engine.score_ids(db, corpus.probes[0]),
+                       "memo after fresh scoring");
 }
 
 // --- options rebinding ------------------------------------------------------

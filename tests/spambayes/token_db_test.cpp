@@ -2,6 +2,7 @@
 // merging and serialization.
 #include "spambayes/token_db.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <tuple>
@@ -77,6 +78,35 @@ TEST(TokenDatabase, UntrainUnknownThrows) {
   EXPECT_THROW(db.untrain_ham({"known"}), InvalidArgument);
   TokenDatabase empty;
   EXPECT_THROW(empty.untrain_spam({"x"}), InvalidArgument);
+}
+
+TEST(TokenDatabase, TrainThatWouldWrapACountThrowsAndChangesNothing) {
+  // copies reaches add() straight from a client's TrainRequest: a count
+  // that would pass 2^32 - 1 must be refused before anything moves.
+  TokenDatabase db;
+  db.train_ham({"alpha", "beta"}, UINT32_MAX - 1);
+  const std::uint64_t gen = db.generation();
+  const auto before = db.tokens();
+  EXPECT_THROW(db.train_ham({"alpha", "gamma"}, 2), InvalidArgument);
+  EXPECT_EQ(db.generation(), gen);
+  EXPECT_EQ(db.tokens(), before);
+  EXPECT_EQ(db.ham_count(), UINT32_MAX - 1);
+  EXPECT_EQ(db.vocabulary_size(), 2u);
+  // Exactly to the limit is fine.
+  db.train_ham({"alpha"}, 1);
+  EXPECT_EQ(db.counts("alpha").ham, UINT32_MAX);
+  EXPECT_EQ(db.ham_count(), UINT32_MAX);
+
+  // A per-token count can exceed its class total in a loaded database;
+  // that count is checked on its own.
+  std::istringstream in("SBXDB 1\n0 0\n4294967295 0 alpha\n");
+  TokenDatabase loaded = TokenDatabase::load(in);
+  const std::uint64_t loaded_gen = loaded.generation();
+  EXPECT_THROW(loaded.train_spam({"alpha", "beta"}), InvalidArgument);
+  EXPECT_EQ(loaded.generation(), loaded_gen);
+  EXPECT_EQ(loaded.spam_count(), 0u);
+  EXPECT_EQ(loaded.counts("beta").spam, 0u);
+  EXPECT_EQ(loaded.vocabulary_size(), 1u);
 }
 
 TEST(TokenDatabase, MergeAddsCounts) {
