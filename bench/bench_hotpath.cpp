@@ -3,8 +3,9 @@
 // through the legacy string-set path, the interned id path, the
 // base + overlay path served users with feedback take and the
 // generation-cached ScoreEngine (single-message and zero-alloc batch),
-// train/untrain round trips (ops/sec) and tokenization (MB/s), including
-// the lookup-only tokenize served classify runs.
+// train/untrain round trips (ops/sec), tokenization (MB/s), including
+// the lookup-only tokenize served classify runs, and the served
+// per-message path end to end minus transport (msgs/sec).
 //
 // Unlike bench_micro (google-benchmark, optional dependency), this binary
 // always builds and emits JSON for the tracked BENCH_baseline.json
@@ -21,6 +22,7 @@
 
 #include "corpus/generator.h"
 #include "email/rfc2822.h"
+#include "serve/base_model.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
 #include "util/random.h"
@@ -190,15 +192,49 @@ int main(int argc, char** argv) {
       msg_mb;
   // Lookup-only (served classify's Filter::message_known_token_ids) on a
   // warm interner: the rows above interned every token of ham_msg, so this
-  // is the all-hits path — no insert, no writer mutex.
+  // is the all-hits path — no insert, no writer mutex. The dedupe is part
+  // of the tokenize pass, so no unique_token_ids() follows.
   const double tokenize_known_ids =
       ops_per_sec(min_seconds,
-                  [&] {
-                    g_sink = spambayes::unique_token_ids(
-                                 tok.tokenize_known_ids(ham_msg))
-                                 .size();
-                  }) *
+                  [&] { g_sink = tok.tokenize_known_ids(ham_msg).size(); }) *
       msg_mb;
+
+  // --- served classify: ServeFrontend::classify_batch's per-message work
+  // for a user without an overlay, transport excluded. Each message is
+  // parsed, tokenized lookup-only and scored by the warm engine in batches
+  // of 8, against the daemon's default base filter; the messages are
+  // fresh (never trained) rendered TrecLike mail, cycled from a pool.
+  const spambayes::Filter base =
+      serve::build_base_filter(serve::BaseModelConfig{});
+  util::Rng served_rng(6);
+  std::vector<std::string> served_raw;
+  for (int i = 0; i < 512; ++i) {
+    served_raw.push_back(email::render_message(
+        i % 2 == 0 ? gen.generate_ham(served_rng)
+                   : gen.generate_spam(served_rng)));
+  }
+  std::vector<spambayes::TokenIdList> served_ids(8);
+  std::size_t served_next = 0;
+  const double classify_served =
+      ops_per_sec(min_seconds,
+                  [&] {
+                    for (spambayes::TokenIdList& ids : served_ids) {
+                      ids = base.message_known_token_ids(
+                          email::parse_message(served_raw[served_next]));
+                      served_next = (served_next + 1) % served_raw.size();
+                    }
+                    double acc = 0.0;
+                    base.classify_batch(
+                        served_ids.size(),
+                        [&](std::size_t i) -> const spambayes::TokenIdList& {
+                          return served_ids[i];
+                        },
+                        [&](std::size_t, const spambayes::BatchScore& s) {
+                          acc += s.score;
+                        });
+                    g_sink = acc;
+                  }) *
+      static_cast<double>(served_ids.size());
 
   // "metrics" is what tools/check_bench.py gates; the speedup ratios are
   // informational only (a future improvement to the legacy string path
@@ -214,6 +250,7 @@ int main(int argc, char** argv) {
       {"tokenize_to_set_string_mb_per_sec", tokenize_string},
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
       {"tokenize_to_known_ids_mb_per_sec", tokenize_known_ids},
+      {"classify_served_msgs_per_sec", classify_served},
   };
   const std::vector<Metric> info = {
       {"classify_interned_speedup", classify_interned / classify_string},

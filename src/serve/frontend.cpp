@@ -110,7 +110,7 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
 
   // Lookup-only: classify never writes the interner, so traffic full of
   // fresh tokens grows nothing indexed by TokenId.
-  std::vector<spambayes::TokenIdSet> ids;
+  std::vector<spambayes::TokenIdList> ids;
   ids.reserve(request.messages.size());
   for (const std::string& raw : request.messages) {
     ids.push_back(base_.message_known_token_ids(email::parse_message(raw)));

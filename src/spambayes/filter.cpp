@@ -15,8 +15,8 @@ TokenIdSet Filter::message_token_ids(const email::Message& msg) const {
   return unique_token_ids(tokenizer_.tokenize_ids(msg));
 }
 
-TokenIdSet Filter::message_known_token_ids(const email::Message& msg) const {
-  return unique_token_ids(tokenizer_.tokenize_known_ids(msg));
+TokenIdList Filter::message_known_token_ids(const email::Message& msg) const {
+  return tokenizer_.tokenize_known_ids(msg);
 }
 
 void Filter::train_ham(const email::Message& msg) {

@@ -100,12 +100,14 @@ class Filter {
   /// per-token strings).
   TokenIdSet message_token_ids(const email::Message& msg) const;
 
-  /// Lookup-only sibling of message_token_ids(): the deduplicated ids of
-  /// the message's already-interned tokens (Tokenizer::tokenize_known_ids).
-  /// Never writes the interner. Scores the same as message_token_ids()
-  /// whenever a zero-count token cannot enter delta(E) — see
-  /// serve/frontend.h for where that is checked.
-  TokenIdSet message_known_token_ids(const email::Message& msg) const;
+  /// Lookup-only sibling of message_token_ids(): the ids of the message's
+  /// already-interned tokens, each once, in first-occurrence order
+  /// (Tokenizer::tokenize_known_ids, which deduplicates as it emits; no
+  /// sort). Never writes the interner. The scorer takes ids in any order,
+  /// so this scores the same as message_token_ids() whenever a zero-count
+  /// token cannot enter delta(E) — see serve/frontend.h for where that is
+  /// checked.
+  TokenIdList message_known_token_ids(const email::Message& msg) const;
 
   const TokenDatabase& database() const { return db_; }
   TokenDatabase& mutable_database() { return db_; }

@@ -21,6 +21,13 @@
 // with a database trained on base + overlay messages
 // (tests/spambayes/interned_equivalence_test.cpp, EXPECT_EQ on doubles).
 //
+// Input order: a message is a set of distinct ids in any order. delta(E)
+// is selected and summed in a strict total order (distance from 0.5 desc,
+// spelling asc), so the score bits do not depend on the order the ids
+// arrive in; only the evidence view follows the input order. Served
+// classify relies on this and passes its ids in first-occurrence order,
+// unsorted (Filter::message_known_token_ids).
+//
 // Invalidation: TokenDatabase::generation() is process-globally unique
 // per mutation, so `generation() == cached` proves the memo exact; any
 // train/untrain/merge/load moves it and the next memoized call refills

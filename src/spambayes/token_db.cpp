@@ -125,6 +125,23 @@ TokenCounts TokenDatabase::counts(std::string_view token) const {
 }
 
 void TokenDatabase::merge(const TokenDatabase& other) {
+  // The same check-then-change pass as add(): class totals first, then
+  // every token count, so a merge that would wrap a count throws with the
+  // contents and generation_ untouched.
+  if (nspam_ > UINT32_MAX - other.nspam_ || nham_ > UINT32_MAX - other.nham_) {
+    throw InvalidArgument("TokenDatabase: merge overflows the email count");
+  }
+  const std::size_t shared = std::min(counts_.size(), other.counts_.size());
+  for (TokenId id = 0; id < shared; ++id) {
+    const TokenCounts& mine = counts_[id];
+    const TokenCounts& theirs = other.counts_[id];
+    if (mine.spam > UINT32_MAX - theirs.spam ||
+        mine.ham > UINT32_MAX - theirs.ham) {
+      throw InvalidArgument(
+          "TokenDatabase: merge overflows the count of token '" +
+          std::string(global_interner().spelling(id)) + "'");
+    }
+  }
   if (other.counts_.size() > counts_.size()) {
     counts_.resize(other.counts_.size());
   }

@@ -96,7 +96,8 @@ class TokenDatabase {
   std::uint64_t generation() const { return generation_; }
 
   /// Merges another database into this one (counts add; used to combine
-  /// per-shard training).
+  /// per-shard training). Throws InvalidArgument, changing nothing, if any
+  /// class total or token count would wrap past 2^32 - 1.
   void merge(const TokenDatabase& other);
 
   /// Serializes to a line-oriented text format (string-keyed; independent

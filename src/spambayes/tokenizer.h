@@ -26,9 +26,11 @@
 // once the vocabulary is warm) and the known-ids form (TokenIdList of the
 // tokens already interned; unknown ones are dropped and the interner is
 // never written). The first two streams are byte-identical:
-// spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i; the known-ids
-// stream is tokenize_ids(m) with the ids the interner did not hold before
-// the call removed.
+// spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i. The known-ids
+// form is deduplicated as it is emitted: tokenize_ids(m) with the ids the
+// interner did not hold before the call removed, keeping only the first
+// occurrence of each id, in first-occurrence order. It is the set served
+// classify scores, so it needs no sort afterwards.
 #pragma once
 
 #include <string>
@@ -66,11 +68,13 @@ class Tokenizer {
       std::string_view text,
       TokenInterner& interner = global_interner()) const;
 
-  /// Lookup-only counterpart of tokenize_ids(): the same token stream, with
-  /// every token the interner does not hold dropped. Never inserts and never
-  /// locks (TokenInterner::find), so hostile traffic full of fresh tokens
-  /// cannot grow the interner. Served classify uses it: a token absent from
-  /// the interner has zero counts everywhere and cannot change a score.
+  /// Lookup-only, deduplicated counterpart of tokenize_ids(): the same
+  /// token stream with every token the interner does not hold dropped and
+  /// every repeat of an id dropped, in first-occurrence order. Never
+  /// inserts and never locks (TokenInterner::find), so hostile traffic
+  /// full of fresh tokens cannot grow the interner. Served classify uses
+  /// it: a token absent from the interner has zero counts everywhere and
+  /// cannot change a score.
   TokenIdList tokenize_known_ids(
       const email::Message& msg,
       const TokenInterner& interner = global_interner()) const;

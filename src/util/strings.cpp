@@ -31,11 +31,6 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||
-         c == '\v';
-}
-
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();

@@ -17,8 +17,14 @@ std::string to_lower(std::string_view s);
 /// ASCII-only upper-casing (locale independent).
 std::string to_upper(std::string_view s);
 
-/// True if `c` is ASCII whitespace (space, tab, CR, LF, FF, VT).
-bool is_space(char c);
+/// True if `c` is ASCII whitespace (space, tab, CR, LF, FF, VT) — the one
+/// definition of whitespace: the parser, trim/split_whitespace and the
+/// tokenizer's byte classes all use it. Inline, since those loops call it
+/// once per byte.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' ||
+         c == '\v';
+}
 
 /// Strips leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s);

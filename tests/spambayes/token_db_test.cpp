@@ -109,6 +109,43 @@ TEST(TokenDatabase, TrainThatWouldWrapACountThrowsAndChangesNothing) {
   EXPECT_EQ(loaded.vocabulary_size(), 1u);
 }
 
+TEST(TokenDatabase, MergeThatWouldWrapACountThrowsAndChangesNothing) {
+  // merge() gets the same check-then-change pass as training: class totals
+  // first, then every token count; a wrap anywhere changes nothing.
+  TokenDatabase db;
+  db.train_ham({"alpha", "beta"}, UINT32_MAX - 1);
+  const auto unchanged = [&db, gen = db.generation(), before = db.tokens()] {
+    EXPECT_EQ(db.generation(), gen);
+    EXPECT_EQ(db.tokens(), before);
+    EXPECT_EQ(db.ham_count(), UINT32_MAX - 1);
+    EXPECT_EQ(db.spam_count(), 0u);
+    EXPECT_EQ(db.vocabulary_size(), 2u);
+  };
+
+  TokenDatabase class_total;  // wraps nham only
+  class_total.train_ham({"gamma"}, 2);
+  EXPECT_THROW(db.merge(class_total), InvalidArgument);
+  unchanged();
+
+  // Wraps one token's count (beta) while the class totals fit: a loaded
+  // database can hold a token count above its class total. gamma, a
+  // token db has never seen, must not be added either.
+  std::istringstream in("SBXDB 1\n0 1\n0 1 alpha\n0 2 beta\n7 0 gamma\n");
+  const TokenDatabase token_count = TokenDatabase::load(in);
+  EXPECT_THROW(db.merge(token_count), InvalidArgument);
+  unchanged();
+  EXPECT_EQ(db.counts("gamma").spam, 0u);
+
+  // Exactly to the limit is fine.
+  TokenDatabase fits;
+  fits.train_ham({"alpha", "gamma"}, 1);
+  db.merge(fits);
+  EXPECT_EQ(db.counts("alpha").ham, UINT32_MAX);
+  EXPECT_EQ(db.counts("gamma").ham, 1u);
+  EXPECT_EQ(db.ham_count(), UINT32_MAX);
+  EXPECT_EQ(db.vocabulary_size(), 3u);
+}
+
 TEST(TokenDatabase, MergeAddsCounts) {
   TokenDatabase a, b;
   a.train_spam({"x", "y"});

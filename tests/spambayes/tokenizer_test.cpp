@@ -3,12 +3,18 @@
 #include "spambayes/tokenizer.h"
 
 #include <algorithm>
+#include <cctype>
+#include <string>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "corpus/generator.h"
 #include "email/builder.h"
 #include "email/mime.h"
 #include "email/rfc2822.h"
+#include "util/random.h"
+#include "util/strings.h"
 
 namespace sbx::spambayes {
 namespace {
@@ -210,12 +216,22 @@ TEST(Tokenizer, DeterministicAcrossCalls) {
   EXPECT_EQ(tok.tokenize_text(text), tok.tokenize_text(text));
 }
 
+/// Keeps the first occurrence of each id, in order.
+TokenIdList first_occurrences(const TokenIdList& ids) {
+  TokenIdList out;
+  std::unordered_set<TokenId> seen;
+  for (TokenId id : ids) {
+    if (seen.insert(id).second) out.push_back(id);
+  }
+  return out;
+}
+
 TEST(Tokenizer, KnownIdsAreTheInternedStreamWithUnknownTokensDropped) {
   email::Message m = email::MessageBuilder()
                          .from("alice@corp.example")
-                         .subject("Quarterly Budget")
+                         .subject("Quarterly Budget budget")
                          .body("budget review http://a.example/offer "
-                               "unknownword budget\n")
+                               "unknownword budget review www.a.example\n")
                          .build();
   Tokenizer tok;
   TokenInterner interner;
@@ -227,18 +243,195 @@ TEST(Tokenizer, KnownIdsAreTheInternedStreamWithUnknownTokensDropped) {
   }
   const std::size_t interned = interner.size();
 
-  TokenIdList expected;
+  // The find()-filtered string stream, then its first occurrences.
+  TokenIdList filtered;
   for (const std::string& t : spellings) {
-    if (const auto id = interner.find(t)) expected.push_back(*id);
+    if (const auto id = interner.find(t)) filtered.push_back(*id);
   }
+  const TokenIdList expected = first_occurrences(filtered);
   ASSERT_FALSE(expected.empty());
-  ASSERT_LT(expected.size(), spellings.size());
-  EXPECT_EQ(tok.tokenize_known_ids(m, interner), expected);
+  ASSERT_LT(filtered.size(), spellings.size());  // some tokens unknown
+  ASSERT_LT(expected.size(), filtered.size());   // some known ids repeat
+  const TokenIdList known = tok.tokenize_known_ids(m, interner);
+  EXPECT_EQ(known, expected);
+  EXPECT_EQ(std::unordered_set<TokenId>(known.begin(), known.end()).size(),
+            known.size());
   EXPECT_EQ(interner.size(), interned);  // lookup-only: nothing inserted
 
-  // Once everything is interned, the known stream is the full id stream.
+  // Once everything is interned, the known ids are the first occurrences
+  // of the full id stream.
   const TokenIdList all = tok.tokenize_ids(m, interner);
-  EXPECT_EQ(tok.tokenize_known_ids(m, interner), all);
+  EXPECT_EQ(tok.tokenize_known_ids(m, interner), first_occurrences(all));
+  EXPECT_EQ(interner.size(), distinct.size());
+}
+
+TEST(Tokenizer, KnownIdsDeduplicateBeyondTheBodySizedSet) {
+  // The seen-id set is sized from the body; header tokens can outnumber
+  // it many times over, so this message makes it grow repeatedly.
+  std::string subject;
+  for (int i = 0; i < 600; ++i) {
+    subject += "word" + std::to_string(i % 300) + " ";
+  }
+  const email::Message m =
+      email::MessageBuilder().subject(subject).body("tiny\n").build();
+  Tokenizer tok;
+  TokenInterner interner;
+  const TokenList spellings = tok.tokenize(m);
+  for (const std::string& t : spellings) interner.intern(t);
+  const std::size_t interned = interner.size();
+  ASSERT_GT(interned, 300u);
+  TokenIdList stream;
+  for (const std::string& t : spellings) stream.push_back(*interner.find(t));
+  EXPECT_EQ(tok.tokenize_known_ids(m, interner), first_occurrences(stream));
+  EXPECT_EQ(interner.size(), interned);
+}
+
+// --- byte-class oracle ----------------------------------------------------
+// A reference for the body rules written with the C-locale definitions:
+// std::isalnum, util::is_space and three istarts_with calls per chunk.
+// The emitter's byte-class table must give these answers for every byte.
+
+bool ref_is_word_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'' ||
+         c == '-' || c == '$' || c == '!';
+}
+
+std::string_view ref_strip_punct(std::string_view w) {
+  std::size_t b = 0;
+  std::size_t e = w.size();
+  while (b < e && !ref_is_word_char(w[b])) ++b;
+  while (e > b && !ref_is_word_char(w[e - 1])) --e;
+  return w.substr(b, e - b);
+}
+
+void ref_word(const TokenizerOptions& o, std::string_view word,
+              TokenList& out) {
+  const std::string_view w = ref_strip_punct(word);
+  if (w.empty() || w.size() < o.min_token_length) return;
+  if (w.size() <= o.max_token_length) {
+    out.push_back(util::to_lower(w));
+    return;
+  }
+  if (o.generate_skip_tokens) {
+    std::string skip = "skip:";
+    skip += static_cast<char>(std::tolower(static_cast<unsigned char>(w[0])));
+    skip += ' ';
+    skip += std::to_string(w.size() / 10 * 10);
+    out.push_back(skip);
+  }
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= w.size(); ++i) {
+    if (i == w.size() || std::isalnum(static_cast<unsigned char>(w[i])) == 0) {
+      const std::string_view piece = w.substr(start, i - start);
+      if (i > start && piece.size() >= o.min_token_length &&
+          piece.size() <= o.max_token_length && piece.size() < w.size()) {
+        out.push_back(util::to_lower(piece));
+      }
+      start = i + 1;
+    }
+  }
+}
+
+void ref_url(const TokenizerOptions& o, std::string_view rest,
+             TokenList& out) {
+  if (util::istarts_with(rest, "http://")) {
+    out.push_back("url:http");
+    rest.remove_prefix(7);
+  } else if (util::istarts_with(rest, "https://")) {
+    out.push_back("url:https");
+    rest.remove_prefix(8);
+  }
+  const std::size_t path_start = rest.find('/');
+  for (const std::string& label : util::split(rest.substr(0, path_start), '.')) {
+    const std::string_view piece = ref_strip_punct(label);
+    if (!piece.empty()) out.push_back("url:" + util::to_lower(piece));
+  }
+  if (path_start == std::string_view::npos) return;
+  for (const std::string& seg :
+       util::split(rest.substr(path_start + 1), '/')) {
+    const std::string_view piece = ref_strip_punct(seg);
+    if (piece.size() >= o.min_token_length &&
+        piece.size() <= o.max_token_length) {
+      out.push_back("url:" + util::to_lower(piece));
+    }
+  }
+}
+
+TokenList ref_tokenize_text(const TokenizerOptions& o, std::string_view text) {
+  TokenList out;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && util::is_space(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < text.size() && !util::is_space(text[i])) ++i;
+    if (i == start) continue;
+    const std::string_view chunk = text.substr(start, i - start);
+    if (o.tokenize_urls && (util::istarts_with(chunk, "http://") ||
+                            util::istarts_with(chunk, "https://") ||
+                            util::istarts_with(chunk, "www."))) {
+      ref_url(o, ref_strip_punct(chunk), out);
+    } else {
+      ref_word(o, chunk, out);
+    }
+  }
+  return out;
+}
+
+TEST(Tokenizer, ByteClassesMatchTheCLocaleRulesForEveryByte) {
+  // Every byte value inside, before and after words, URL-like chunks and
+  // chunks that start like a URL (H..., W..., Www.) but are not one.
+  std::string body;
+  for (int b = 0; b < 256; ++b) {
+    const std::string c(1, static_cast<char>(b));
+    for (const std::string& chunk :
+         {"ab" + c + "cd", c + "word", "word" + c, c + "Hello" + c,
+          "http://ex" + c + "ample.org/pa" + c + "th/seg",
+          c + "http://host.example/p", "HTTPS://A" + c + ".B/C" + c + "DEF",
+          "H" + c + "ttp://a.b", "W" + c + "ww.c.d", "Www." + c + "site.ex",
+          "www" + c + ".site", "hx" + c, "Wy" + c,
+          "abcdefghijklmn" + c + "opqrstuvwxyz" + c + "0123456789012",
+          "Mixed" + c + "CASE$" + c + "it's!" + c}) {
+      body += chunk;
+      body += ' ';
+    }
+  }
+  for (const TokenizerOptions& o :
+       {TokenizerOptions{}, [] {
+          TokenizerOptions no_urls;
+          no_urls.tokenize_urls = false;
+          no_urls.generate_skip_tokens = false;
+          return no_urls;
+        }()}) {
+    const Tokenizer tok(o);
+    const TokenList expected = ref_tokenize_text(o, body);
+    ASSERT_GT(expected.size(), 256u * 20);
+    EXPECT_EQ(tok.tokenize_text(body), expected);
+    EXPECT_EQ(tok.tokenize(email::Message({}, body)), expected);
+  }
+  for (int b = 0; b < 256; ++b) {
+    const std::string w = std::string(1, static_cast<char>(b)) + "x-y" +
+                          std::string(1, static_cast<char>(b));
+    EXPECT_EQ(strip_punct(w), ref_strip_punct(w)) << "byte " << b;
+  }
+}
+
+TEST(Tokenizer, IdStreamSpellsTheStringStreamOnGeneratedMail) {
+  const corpus::TrecLikeGenerator gen;
+  util::Rng rng(15);
+  const Tokenizer tok;
+  TokenInterner interner;
+  for (int i = 0; i < 500; ++i) {
+    const email::Message m =
+        i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
+    const TokenList spellings = tok.tokenize(m);
+    const TokenIdList ids = tok.tokenize_ids(m, interner);
+    ASSERT_EQ(ids.size(), spellings.size()) << "message " << i;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      ASSERT_EQ(interner.spelling(ids[k]), spellings[k]) << "message " << i;
+    }
+    ASSERT_EQ(tok.tokenize_known_ids(m, interner), first_occurrences(ids))
+        << "message " << i;
+  }
 }
 
 }  // namespace
