@@ -4,8 +4,10 @@
 // base + overlay path served users with feedback take and the
 // generation-cached ScoreEngine (single-message and zero-alloc batch),
 // train/untrain round trips (ops/sec), tokenization (MB/s), including
-// the lookup-only tokenize served classify runs, and the served
-// per-message path end to end minus transport (msgs/sec).
+// the lookup-only tokenize served classify runs, the served
+// per-message path end to end minus transport (msgs/sec), and a served
+// copy-on-write train into an overlay a dictionary attack widened
+// (ops/sec).
 //
 // Unlike bench_micro (google-benchmark, optional dependency), this binary
 // always builds and emits JSON for the tracked BENCH_baseline.json
@@ -20,9 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "core/dictionary_attack.h"
 #include "corpus/generator.h"
+#include "corpus/vocabulary.h"
 #include "email/rfc2822.h"
 #include "serve/base_model.h"
+#include "serve/shard.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
 #include "util/random.h"
@@ -236,6 +241,34 @@ int main(int argc, char** argv) {
                   }) *
       static_cast<double>(served_ids.size());
 
+  // --- served train after a dictionary attack: ModelShard's copy-on-write
+  // train (copy the published overlay, train one ordinary message, publish
+  // the copy) into an overlay that already holds one Aspell
+  // dictionary-attack email, ~100k ids. Runs last because the attack
+  // interns its whole dictionary, which would change the rows above.
+  const corpus::Lexicons lexicons;
+  const core::DictionaryAttack attack =
+      core::DictionaryAttack::aspell(lexicons);
+  serve::ModelShard shard(1);
+  shard.apply_train(0,
+                    spambayes::unique_token_ids(
+                        tok.tokenize_ids(attack.attack_message())),
+                    /*as_spam=*/true, 1);
+  util::Rng ordinary_rng(7);
+  std::vector<spambayes::TokenIdSet> ordinary;
+  for (int i = 0; i < 64; ++i) {
+    ordinary.push_back(spambayes::unique_token_ids(tok.tokenize_ids(
+        i % 2 == 0 ? gen.generate_ham(ordinary_rng)
+                   : gen.generate_spam(ordinary_rng))));
+  }
+  std::size_t ordinary_next = 0;
+  const double overlay_train_after_dictionary =
+      ops_per_sec(min_seconds, [&] {
+        shard.apply_train(0, ordinary[ordinary_next], ordinary_next % 2 == 1,
+                          1);
+        ordinary_next = (ordinary_next + 1) % ordinary.size();
+      });
+
   // "metrics" is what tools/check_bench.py gates; the speedup ratios are
   // informational only (a future improvement to the legacy string path
   // would legitimately shrink them).
@@ -251,6 +284,8 @@ int main(int argc, char** argv) {
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
       {"tokenize_to_known_ids_mb_per_sec", tokenize_known_ids},
       {"classify_served_msgs_per_sec", classify_served},
+      {"overlay_train_after_dictionary_ops_per_sec",
+       overlay_train_after_dictionary},
   };
   const std::vector<Metric> info = {
       {"classify_interned_speedup", classify_interned / classify_string},

@@ -30,8 +30,8 @@
 namespace sbx::spambayes {
 
 /// Trained spam filter. Copyable: experiments snapshot a clean filter and
-/// graft attack training onto the copy (with the flat TokenDatabase this is
-/// a plain vector copy).
+/// graft attack training onto the copy (the copy shares the database's
+/// count leaves; the attack clones only the leaves it writes).
 class Filter {
  public:
   explicit Filter(FilterOptions opts = {});

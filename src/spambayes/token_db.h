@@ -8,16 +8,25 @@
 // with one O(|tokens|) update is mathematically identical because all
 // counts are additive).
 //
-// Counts live in a flat std::vector<TokenCounts> indexed by interned
-// TokenId (see interner.h): train/untrain/lookup are raw array accesses
-// with no string hashing, and snapshotting a database (experiments copy a
-// clean filter, then graft attacks onto the copy) is a single memcpy-style
-// vector copy instead of a rehash. The string-keyed API and the save()/
-// load() wire format are preserved through the process-wide interner.
+// Counts live in a two-level persistent array indexed by interned TokenId
+// (see interner.h): a spine of shared_ptrs to fixed leaves of kLeafEntries
+// TokenCounts each, where a null leaf means all zeros. A lookup is two
+// dependent loads (spine slot, leaf entry) with no string hashing. Copying
+// a database copies only the spine and shares every leaf; a mutation
+// clones just the leaves it writes that another database still holds
+// (path copying). So the serving layer's copy-on-write train and the
+// experiments' "copy a clean filter, graft an attack onto the copy" both
+// cost O(leaves touched), not O(highest TokenId ever interned). The
+// string-keyed API and the save()/load() wire format are preserved through
+// the process-wide interner.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,6 +49,14 @@ struct TokenCounts {
 /// database, then graft attacks onto copies).
 class TokenDatabase {
  public:
+  /// TokenCounts per leaf. 256 entries (2 KiB) is a measured constant, not
+  /// a knob: smaller leaves cut the bytes a served train clones but grow the
+  /// spine and slow batch training, which loses the flat array's ascending
+  /// prefetch; larger ones clone more per train (README "Token counts").
+  static constexpr std::size_t kLeafEntries = 256;
+  static constexpr std::size_t kLeafBytes =
+      kLeafEntries * sizeof(TokenCounts);
+
   TokenDatabase() = default;
 
   /// Records `copies` spam emails, each containing exactly the tokens in
@@ -72,10 +89,9 @@ class TokenDatabase {
   std::uint32_t ham_count() const { return nham_; }
 
   /// Counts for one interned token; zeros if the id was never trained here.
-  /// The classifier's per-token inner loop — a bounds check and an indexed
-  /// load.
+  /// The classifier's per-token inner loop — a spine load and a leaf load.
   TokenCounts counts(TokenId id) const {
-    return id < counts_.size() ? counts_[id] : TokenCounts{};
+    return leaf_at(id / kLeafEntries)->entries[id % kLeafEntries];
   }
 
   /// Counts for one token spelling; zeros if unseen.
@@ -108,7 +124,8 @@ class TokenDatabase {
   ///                              spaces and extends to end of line)
   void save(std::ostream& out) const;
 
-  /// Parses the save() format. Throws ParseError on malformed input.
+  /// Parses the save() format. Throws ParseError on malformed input,
+  /// including a spelling that appears on two token lines.
   static TokenDatabase load(std::istream& in);
 
   /// Convenience file wrappers; throw IoError on filesystem failure.
@@ -116,26 +133,105 @@ class TokenDatabase {
   static TokenDatabase load_file(const std::string& path);
 
   /// Snapshot of (token, counts) for every token with nonzero counts,
-  /// sorted by spelling. Materialized per call; iterate the flat
-  /// id_counts() table for hot loops.
+  /// sorted by spelling. Materialized per call; use for_each_counted() for
+  /// hot loops.
   std::vector<std::pair<std::string, TokenCounts>> tokens() const;
 
-  /// The raw id-indexed table (ids at or past the end are all-zero).
-  const std::vector<TokenCounts>& id_counts() const { return counts_; }
+  /// Calls fn(TokenId, const TokenCounts&) for every token with nonzero
+  /// counts, in ascending id order.
+  template <typename Fn>
+  void for_each_counted(Fn&& fn) const {
+    for (std::size_t l = 0; l < spine_.size(); ++l) {
+      const Leaf* leaf = spine_[l].get();
+      if (leaf == nullptr) continue;
+      for (std::size_t i = 0; i < kLeafEntries; ++i) {
+        const TokenCounts& c = leaf->entries[i];
+        if (c.spam != 0 || c.ham != 0) {
+          fn(static_cast<TokenId>(l * kLeafEntries + i), c);
+        }
+      }
+    }
+  }
+
+  /// Leaf memory gauge, in bytes (multiples of kLeafBytes). `held` counts
+  /// every leaf this database references; `unshared` only the leaves no
+  /// other database holds right now, i.e. what this copy cost on top of
+  /// the databases it was copied from. The spine is not included.
+  struct LeafBytes {
+    std::size_t held = 0;
+    std::size_t unshared = 0;
+  };
+  LeafBytes leaf_bytes() const;
 
  private:
+  struct Leaf {
+    std::array<TokenCounts, kLeafEntries> entries{};
+  };
+
+  /// What a null leaf reads as.
+  static const Leaf kZeroLeaf;
+
+  /// Leaf `l` for reading; kZeroLeaf when it is null or past the spine, so
+  /// readers need no null branch.
+  const Leaf* leaf_at(std::size_t l) const {
+    const Leaf* leaf = l < spine_.size() ? spine_[l].get() : nullptr;
+    return leaf != nullptr ? leaf : &kZeroLeaf;
+  }
+
   void add(const TokenIdSet& ids, std::uint32_t copies, bool spam);
   void remove(const TokenIdSet& ids, std::uint32_t copies, bool spam);
+
+  /// Leaf `l` made safe to write: if this database holds it alone, after
+  /// an acquire that orders other holders' last reads before the writes;
+  /// else cloned (shared) or created (null), growing the spine as needed.
+  Leaf& writable_leaf(std::size_t l);
+
+  /// The body of add() and remove(): for each id, runs check(id, counts),
+  /// which may throw, then apply(counts&), which returns whether the entry
+  /// went from or to all zeros; returns how many did. On a throw, runs
+  /// undo(counts&) on every id already applied, so nothing has changed.
+  template <typename Check, typename Apply, typename Undo>
+  std::size_t update(const TokenIdSet& ids, Check&& check, Apply&& apply,
+                     Undo&& undo);
 
   /// Next value of the process-global generation counter (atomic, starts
   /// at 1 so 0 can mean "nothing observed yet" in caches).
   static std::uint64_t next_generation();
 
-  std::vector<TokenCounts> counts_;  // indexed by TokenId
-  std::size_t vocab_ = 0;            // entries with nonzero counts
+  /// Whether no other database has ever held one of this database's
+  /// leaves. Then each leaf is this database's alone, and writes skip the
+  /// use_count() test and the acquire. A copy clears the flag on both
+  /// sides for good (a copy's later death is not tracked), and so does
+  /// merge() when it shares a leaf; a move carries it over. Atomic because
+  /// several threads may copy one const database at once.
+  class NeverShared {
+   public:
+    NeverShared() = default;
+    NeverShared(const NeverShared& from) : value_(false) { from.clear(); }
+    NeverShared(NeverShared&& from) noexcept : value_(from.get()) {}
+    NeverShared& operator=(const NeverShared& from) {
+      clear();
+      from.clear();
+      return *this;
+    }
+    NeverShared& operator=(NeverShared&& from) noexcept {
+      value_.store(from.get(), std::memory_order_relaxed);
+      return *this;
+    }
+    bool get() const { return value_.load(std::memory_order_relaxed); }
+    void clear() const { value_.store(false, std::memory_order_relaxed); }
+
+   private:
+    mutable std::atomic<bool> value_{true};
+  };
+
+  // Leaf l holds ids [l * kLeafEntries, (l + 1) * kLeafEntries).
+  std::vector<std::shared_ptr<Leaf>> spine_;
+  std::size_t vocab_ = 0;  // entries with nonzero counts
   std::uint32_t nspam_ = 0;
   std::uint32_t nham_ = 0;
   std::uint64_t generation_ = next_generation();
+  NeverShared never_shared_;
 };
 
 }  // namespace sbx::spambayes

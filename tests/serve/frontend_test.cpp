@@ -333,13 +333,12 @@ TEST(LookupOnlyClassify, ScoresMatchFullyInternedIdsAndInternerStaysFlat) {
 std::size_t unfound_counted_tokens(const OverlaySnapshot& overlay) {
   if (overlay == nullptr) return 0;
   const spambayes::TokenInterner& interner = spambayes::global_interner();
-  const auto& counts = overlay->id_counts();
   std::size_t unfound = 0;
-  for (spambayes::TokenId id = 0; id < counts.size(); ++id) {
-    if (counts[id] == spambayes::TokenCounts{}) continue;
-    const auto found = interner.find(interner.spelling(id));
-    if (!found || *found != id) ++unfound;
-  }
+  overlay->for_each_counted(
+      [&](spambayes::TokenId id, const spambayes::TokenCounts&) {
+        const auto found = interner.find(interner.spelling(id));
+        if (!found || *found != id) ++unfound;
+      });
   return unfound;
 }
 

@@ -4,11 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
+#include "core/dictionary_attack.h"
+#include "corpus/generator.h"
+#include "corpus/vocabulary.h"
 #include "serve/shard.h"
+#include "serve/wal.h"
+#include "spambayes/tokenizer.h"
 #include "util/error.h"
+#include "util/random.h"
 #include "util/sharding.h"
 
 namespace sbx::serve {
@@ -132,6 +140,133 @@ TEST(ModelShard, ConcurrentSnapshotReadsDuringMutation) {
   const OverlaySnapshot final_snap = shard.overlay(0);
   ASSERT_NE(final_snap, nullptr);
   EXPECT_EQ(final_snap->spam_count() + final_snap->ham_count(), 400u);
+}
+
+// The paper's dictionary attack through the served feedback channel: one
+// Aspell-sized email interns ~100k ids into a user's overlay. Each later
+// ordinary train must copy only the leaves its own ids fall in, not the
+// whole id range the attack widened.
+TEST(ModelShard, TrainsAfterADictionaryAttackCopyOnlyTheLeavesTheyTouch) {
+  using spambayes::TokenDatabase;
+  const corpus::Lexicons lexicons;
+  const core::DictionaryAttack attack =
+      core::DictionaryAttack::aspell(lexicons);
+  const spambayes::Tokenizer tokenizer;
+  const corpus::TrecLikeGenerator generator;
+  util::Rng rng(11);
+
+  ModelShard shard(1);
+  const auto train = [&](const spambayes::TokenIdSet& ids, bool as_spam) {
+    MutationRequest req;
+    req.op = kWalOpTrain;
+    req.as_spam = as_spam;
+    shard.apply_mutation(0, req, ids);
+  };
+  const spambayes::TokenIdSet attack_ids = spambayes::unique_token_ids(
+      tokenizer.tokenize_ids(attack.attack_message()));
+  train(attack_ids, /*as_spam=*/true);
+
+  OverlaySnapshot prev = shard.overlay(0);
+  std::set<std::size_t> held;  // leaves the overlay has counts in
+  for (spambayes::TokenId id : attack_ids) {
+    held.insert(id / TokenDatabase::kLeafEntries);
+  }
+  ASSERT_GE(held.size(),
+            attack.dictionary_size() / TokenDatabase::kLeafEntries);
+  ASSERT_EQ(prev->leaf_bytes().held, held.size() * TokenDatabase::kLeafBytes);
+
+  for (int m = 0; m < 100; ++m) {
+    const bool as_spam = m % 2 == 1;
+    const spambayes::TokenIdSet ids =
+        spambayes::unique_token_ids(tokenizer.tokenize_ids(
+            as_spam ? generator.generate_spam(rng)
+                    : generator.generate_ham(rng)));
+    std::set<std::size_t> touched;
+    for (spambayes::TokenId id : ids) {
+      touched.insert(id / TokenDatabase::kLeafEntries);
+    }
+    held.insert(touched.begin(), touched.end());
+    train(ids, as_spam);
+
+    const OverlaySnapshot next = shard.overlay(0);
+    ASSERT_NE(next, prev);
+    const TokenDatabase::LeafBytes bytes = next->leaf_bytes();
+    EXPECT_EQ(bytes.held, held.size() * TokenDatabase::kLeafBytes)
+        << "message " << m;
+    // `prev` still holds every leaf it had, so the leaves `next` holds
+    // alone are exactly the ones this train cloned or created: one per
+    // leaf the message's ids fall in. Every other leaf is shared.
+    EXPECT_EQ(bytes.unshared, touched.size() * TokenDatabase::kLeafBytes)
+        << "message " << m;
+    prev = next;
+  }
+}
+
+// The TSan target for the leaves' copy-on-write. A writer trains its own
+// database in place and publishes a copy, which shares every leaf. Readers
+// take the published copy, read through it and drop it. The writer clears
+// the slot before its next train, so a reader's drop can release a leaf's
+// last other reference just before the writer, seeing use_count() == 1,
+// writes that leaf in place. The acquire next to that check in
+// TokenDatabase::writable_leaf orders the reader's reads before those
+// writes; without it TSan reports the race here.
+TEST(ModelShard, ReadersDroppingSnapshotsRaceInPlaceLeafWrites) {
+  using spambayes::TokenDatabase;
+  constexpr int kLeaves = 4;
+  constexpr int kTrains = 2'000;
+  std::atomic<std::shared_ptr<const TokenDatabase>> slot;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> taken{0};
+  std::atomic<std::uint64_t> torn{0};
+
+  // Every train counts id 0, so a snapshot is consistent iff id 0's spam
+  // count equals its spam email count and no other id exceeds it.
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        std::shared_ptr<const TokenDatabase> snap =
+            slot.load(std::memory_order_acquire);
+        if (snap == nullptr) continue;
+        taken.fetch_add(1, std::memory_order_relaxed);
+        const std::uint32_t emails = snap->spam_count();
+        if (snap->counts(0).spam != emails) torn.fetch_add(1);
+        for (int l = 1; l < kLeaves; ++l) {
+          const auto id =
+              static_cast<spambayes::TokenId>(l * TokenDatabase::kLeafEntries);
+          if (snap->counts(id).spam > emails) torn.fetch_add(1);
+        }
+        snap.reset();  // may be the last reference to this copy's leaves
+      }
+    });
+  }
+
+  TokenDatabase db;
+  for (int i = 0; i < kTrains; ++i) {
+    if (i % 2 == 0) {
+      const std::uint64_t before = taken.load(std::memory_order_relaxed);
+      slot.store(std::make_shared<const TokenDatabase>(db),
+                 std::memory_order_release);
+      // Hold the copy out until a reader has it in hand.
+      while (taken.load(std::memory_order_relaxed) == before) {
+        std::this_thread::yield();
+      }
+      slot.store(nullptr, std::memory_order_release);
+    }
+    spambayes::TokenIdSet ids = {0};
+    for (int l = 1; l < kLeaves; ++l) {
+      ids.push_back(static_cast<spambayes::TokenId>(
+          l * TokenDatabase::kLeafEntries + i % 7));
+    }
+    db.train_spam_ids(ids);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GE(taken.load(), static_cast<std::uint64_t>(kTrains / 2));
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(db.spam_count(), static_cast<std::uint32_t>(kTrains));
+  EXPECT_EQ(db.counts(0).spam, static_cast<std::uint32_t>(kTrains));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <sstream>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,63 @@ TEST(TokenDatabase, TrainThatWouldWrapACountThrowsAndChangesNothing) {
   EXPECT_EQ(loaded.vocabulary_size(), 1u);
 }
 
+TEST(TokenDatabase, TrainAfterAnUntrainChecksEveryTokenCount) {
+  // Untraining lowers the class total but only the untrained tokens'
+  // counts, so a count can exceed its class total in a database that was
+  // only ever trained: here nspam = 0 while beta.spam = 1. A train that
+  // passes the class-total check must still refuse to wrap beta.
+  TokenDatabase db;
+  db.train_spam({"alpha", "beta"});
+  db.untrain_spam({"alpha"});
+  ASSERT_EQ(db.spam_count(), 0u);
+  ASSERT_EQ(db.counts("beta").spam, 1u);
+  const std::uint64_t gen = db.generation();
+  const auto before = db.tokens();
+  EXPECT_THROW(db.train_spam({"beta"}, UINT32_MAX), InvalidArgument);
+  EXPECT_EQ(db.generation(), gen);
+  EXPECT_EQ(db.tokens(), before);
+  EXPECT_EQ(db.spam_count(), 0u);
+  EXPECT_EQ(db.vocabulary_size(), 1u);
+}
+
+TEST(TokenDatabase, AFailedTrainOrUntrainUndoesTheCountsItAlreadyChanged) {
+  // Fresh spellings get ascending ids, so `last` is checked after `first`
+  // and `middle` were already written; the throw must undo both, on a
+  // database that writes its leaves in place and on one whose leaves are
+  // shared with a copy (and so cloned on the way).
+  TokenInterner& interner = global_interner();
+  const TokenId first = interner.intern("undo-test-first");
+  const TokenId middle = interner.intern("undo-test-middle");
+  const TokenId last = interner.intern("undo-test-last");
+  ASSERT_LT(first, middle);
+  ASSERT_LT(middle, last);
+  const auto build = [&] {
+    TokenDatabase db;
+    db.train_spam_ids({middle, last}, UINT32_MAX);
+    db.untrain_spam_ids({middle}, UINT32_MAX);  // nspam = 0, last at max
+    db.train_ham_ids({first, middle});
+    return db;
+  };
+  for (const bool copied : {false, true}) {
+    SCOPED_TRACE(copied ? "leaves shared with a copy" : "leaves held alone");
+    TokenDatabase db = build();
+    TokenDatabase copy;
+    if (copied) copy = db;
+    const std::uint64_t gen = db.generation();
+    const auto before = db.tokens();
+    EXPECT_THROW(db.train_spam_ids({first, middle, last}), InvalidArgument);
+    EXPECT_THROW(db.untrain_ham_ids({first, middle, last}), InvalidArgument);
+    EXPECT_EQ(db.generation(), gen);
+    EXPECT_EQ(db.tokens(), before);
+    EXPECT_EQ(db.spam_count(), 0u);
+    EXPECT_EQ(db.ham_count(), 1u);
+    EXPECT_EQ(db.vocabulary_size(), 3u);
+    if (copied) {
+      EXPECT_EQ(copy.tokens(), before);
+    }
+  }
+}
+
 TEST(TokenDatabase, MergeThatWouldWrapACountThrowsAndChangesNothing) {
   // merge() gets the same check-then-change pass as training: class totals
   // first, then every token count; a wrap anywhere changes nothing.
@@ -190,6 +249,97 @@ TEST(TokenDatabase, LoadRejectsMalformedInput) {
   EXPECT_THROW(load_str("SBXDB 1\n1 1\nnot_numbers here\n"), ParseError);
   EXPECT_THROW(load_str("SBXDB 1\n1 1\n1 0\n"), ParseError);     // no token
   EXPECT_THROW(load_str("SBXDB 1\n1 1\n0 0 token\n"), ParseError);  // zeroed
+}
+
+TEST(TokenDatabase, LoadRejectsADuplicateTokenLine) {
+  // A later line used to overwrite an earlier one silently (this loaded
+  // spam = 1). save() writes each spelling once, and recovery snapshots are
+  // parsed through load(), so a repeat means a corrupt file.
+  std::stringstream ss("SBXDB 1\n3 0\n2 0 viagra\n1 0 viagra\n");
+  EXPECT_THROW(TokenDatabase::load(ss), ParseError);
+}
+
+// Raw ids far apart, so they fall in different leaves. None of these tests
+// reaches a path that prints a spelling, so the ids need not be interned.
+constexpr TokenId kLeaf = TokenDatabase::kLeafEntries;
+constexpr std::size_t kLeafBytes = TokenDatabase::kLeafBytes;
+
+TEST(TokenDatabase, ACopySharesLeavesAndATrainClonesOnlyTheLeavesItWrites) {
+  TokenDatabase a;
+  a.train_spam_ids({1, kLeaf + 1, 5 * kLeaf + 3});
+  EXPECT_EQ(a.leaf_bytes().held, 3 * kLeafBytes);
+  EXPECT_EQ(a.leaf_bytes().unshared, 3 * kLeafBytes);
+
+  TokenDatabase b = a;
+  EXPECT_EQ(b.leaf_bytes().held, 3 * kLeafBytes);
+  EXPECT_EQ(b.leaf_bytes().unshared, 0u);
+
+  // Leaf 0 is shared, so it is cloned; leaf 7 is new; leaves 1 and 5 stay
+  // shared with `a`.
+  b.train_ham_ids({2, 7 * kLeaf});
+  EXPECT_EQ(b.leaf_bytes().held, 4 * kLeafBytes);
+  EXPECT_EQ(b.leaf_bytes().unshared, 2 * kLeafBytes);
+  EXPECT_EQ(a.leaf_bytes().unshared, kLeafBytes);  // its own leaf 0
+  EXPECT_EQ(a.counts(2).ham, 0u);
+  EXPECT_EQ(a.counts(7 * kLeaf).ham, 0u);
+  EXPECT_EQ(b.counts(1).spam, 1u);  // the clone kept the rest of leaf 0
+  EXPECT_EQ(b.counts(2).ham, 1u);
+  EXPECT_EQ(b.counts(5 * kLeaf + 3).spam, 1u);
+
+  // A copy's source clones too: training `a` leaves `b` as it was.
+  a.train_spam_ids({kLeaf + 2});
+  EXPECT_EQ(a.counts(kLeaf + 2).spam, 1u);
+  EXPECT_EQ(b.counts(kLeaf + 2).spam, 0u);
+
+  // Once `a` is gone, b's leaves are its own and a train writes in place.
+  a = TokenDatabase();
+  EXPECT_EQ(b.leaf_bytes().unshared, 4 * kLeafBytes);
+  b.untrain_ham_ids({2, 7 * kLeaf});
+  EXPECT_EQ(b.leaf_bytes().held, 4 * kLeafBytes);
+  EXPECT_EQ(b.vocabulary_size(), 3u);
+}
+
+TEST(TokenDatabase, ForEachCountedVisitsNonzeroIdsInAscendingOrder) {
+  TokenDatabase db;
+  db.train_spam_ids({3, kLeaf + 9, 4 * kLeaf});
+  db.train_ham_ids({3});
+  db.untrain_spam_ids({3, kLeaf + 9, 4 * kLeaf});
+  db.train_ham_ids({2 * kLeaf});
+  std::vector<std::pair<TokenId, TokenCounts>> seen;
+  db.for_each_counted(
+      [&](TokenId id, const TokenCounts& c) { seen.emplace_back(id, c); });
+  const std::vector<std::pair<TokenId, TokenCounts>> want = {
+      {3, {0, 1}}, {2 * kLeaf, {0, 1}}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(db.vocabulary_size(), 2u);
+}
+
+TEST(TokenDatabase, MergeSharesLeavesItHasNoCountsInAndSelfMergeDoubles) {
+  TokenDatabase a;
+  a.train_spam_ids({1});
+  TokenDatabase b;
+  b.train_ham_ids({1, 3 * kLeaf, 3 * kLeaf + 1});
+  a.merge(b);
+  EXPECT_EQ(a.counts(1), (TokenCounts{1, 1}));
+  EXPECT_EQ(a.counts(3 * kLeaf + 1), (TokenCounts{0, 1}));
+  EXPECT_EQ(a.vocabulary_size(), 3u);
+  // Leaf 3 was taken from `b` as is; leaf 0 had to be added into.
+  EXPECT_EQ(a.leaf_bytes().held, 2 * kLeafBytes);
+  EXPECT_EQ(a.leaf_bytes().unshared, kLeafBytes);
+  // Training the shared leaf clones it first.
+  a.train_spam_ids({3 * kLeaf + 1});
+  EXPECT_EQ(a.counts(3 * kLeaf + 1), (TokenCounts{1, 1}));
+  EXPECT_EQ(b.counts(3 * kLeaf + 1), (TokenCounts{0, 1}));
+
+  a.merge(a);
+  EXPECT_EQ(a.counts(1), (TokenCounts{2, 2}));
+  EXPECT_EQ(a.counts(3 * kLeaf), (TokenCounts{0, 2}));
+  EXPECT_EQ(a.counts(3 * kLeaf + 1), (TokenCounts{2, 2}));
+  EXPECT_EQ(a.spam_count(), 4u);
+  EXPECT_EQ(a.ham_count(), 2u);
+  EXPECT_EQ(a.vocabulary_size(), 3u);
+  EXPECT_EQ(b.counts(3 * kLeaf), (TokenCounts{0, 1}));  // b untouched
+  EXPECT_EQ(b.counts(3 * kLeaf + 1), (TokenCounts{0, 1}));
 }
 
 TEST(TokenDatabase, FileRoundTrip) {

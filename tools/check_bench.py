@@ -10,15 +10,18 @@ the tracked baseline:
 Every metric under "metrics" in the baseline must be present in the current
 run and must not have regressed by more than --max-regression (fractional;
 all bench_hotpath metrics are higher-is-better throughputs or speedup
-ratios). Improvements are reported but never fail the check. Exits non-zero
-on any regression beyond the threshold or any missing metric.
+ratios). Likewise every metric the run reports must be in the baseline, so
+a new bench row cannot land ungated. Improvements are reported but never
+fail the check. Exits non-zero on any regression beyond the threshold, any
+missing metric or any metric the baseline lacks.
 
 --metrics NAME[,NAME...] restricts the comparison to a subset of the
 baseline's metrics. This lets one tracked baseline file (BENCH_serve.json)
 serve several CI jobs that each produce only their slice of the metrics —
 serve-smoke gates the plain-serving numbers, crash-recovery-smoke the
 wal_-prefixed ones — without each job failing on the other's "missing"
-metrics.
+metrics. With --metrics, run metrics outside the subset are not checked
+either way.
 
 ResultDoc mode — validates the schema of eval::ResultDoc JSON files (as
 written by `sbx_experiments run/sweep --out-dir`):
@@ -51,9 +54,18 @@ def check_baseline(args) -> int:
             return 1
         baseline = {name: baseline[name] for name in wanted}
 
+    # Without --metrics the baseline must cover the whole run: a row the
+    # bench reports but the baseline lacks would otherwise go ungated.
+    unbaselined = ([] if args.metrics else
+                   sorted(name for name in current if name not in baseline))
+
     failures = []
-    width = max(len(name) for name in baseline)
+    width = max(len(name) for name in [*baseline, *unbaselined])
     print(f"{'metric':<{width}}  {'baseline':>14}  {'current':>14}  change")
+    for name in unbaselined:
+        failures.append(f"{name}: in the current run but not in the "
+                        "baseline (record it there)")
+        print(f"{name:<{width}}  {'MISSING':>14}  {current[name]:>14.2f}")
     for name, base_value in sorted(baseline.items()):
         if name not in current:
             failures.append(f"{name}: missing from current run")
@@ -71,8 +83,8 @@ def check_baseline(args) -> int:
               f"{change:+7.1%}{flag}")
 
     if failures:
-        print(f"\nFAIL: {len(failures)} metric(s) regressed beyond "
-              f"{args.max_regression:.0%}:", file=sys.stderr)
+        print(f"\nFAIL: {len(failures)} metric(s) missing or regressed "
+              f"beyond {args.max_regression:.0%}:", file=sys.stderr)
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         return 1
