@@ -1,12 +1,11 @@
 // bench_hotpath: machine-readable perf baselines for the hot paths the
 // interning + score-engine refactors target — classification (msgs/sec)
-// through the legacy string-set path, the interned id path, the
-// base + overlay path served users with feedback take and the
-// generation-cached ScoreEngine (single-message and zero-alloc batch),
-// train/untrain round trips (ops/sec), tokenization (MB/s), including
-// the lookup-only tokenize served classify runs, the served
-// per-message path end to end minus transport (msgs/sec), and a served
-// copy-on-write train into an overlay a dictionary attack widened
+// through the interned id path, the base + overlay path served users with
+// feedback take and the generation-cached ScoreEngine (single-message and
+// zero-alloc batch), train/untrain round trips (ops/sec), tokenization
+// (MB/s), including the lookup-only tokenize served classify runs, the
+// served per-message path end to end minus transport (msgs/sec), and a
+// served copy-on-write train into an overlay a dictionary attack widened
 // (ops/sec).
 //
 // Unlike bench_micro (google-benchmark, optional dependency), this binary
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
   const spambayes::Tokenizer tok;
 
   // --- classification: 400-message filter, fresh ham probe ---------------
-  // (the same workload bench_micro's BM_ClassifyMessage uses)
+  // (the same workload bench_micro's BM_ClassifyMessageInterned uses)
   util::Rng rng(4);
   spambayes::Filter filter;
   for (int i = 0; i < 200; ++i) {
@@ -98,14 +97,9 @@ int main(int argc, char** argv) {
         tok.tokenize_ids(gen.generate_spam(rng))));
   }
   const email::Message probe_msg = gen.generate_ham(rng);
-  const spambayes::TokenSet probe_tokens =
-      spambayes::unique_tokens(tok.tokenize(probe_msg));
   const spambayes::TokenIdSet probe_ids =
       spambayes::unique_token_ids(tok.tokenize_ids(probe_msg));
 
-  const double classify_string = ops_per_sec(min_seconds, [&] {
-    g_sink = filter.classify_tokens(probe_tokens).score;
-  });
   const double classify_interned = ops_per_sec(min_seconds, [&] {
     g_sink = filter.classifier().score_ids(filter.database(), probe_ids).score;
   });
@@ -159,34 +153,21 @@ int main(int argc, char** argv) {
   // --- train/untrain round trip (RONI's inner loop shape) ----------------
   util::Rng train_rng(3);
   const email::Message spam_msg = gen.generate_spam(train_rng);
-  const spambayes::TokenSet spam_tokens =
-      spambayes::unique_tokens(tok.tokenize(spam_msg));
   const spambayes::TokenIdSet spam_ids =
       spambayes::unique_token_ids(tok.tokenize_ids(spam_msg));
 
-  const double train_string = ops_per_sec(min_seconds, [&] {
-    filter.train_spam_tokens(spam_tokens);
-    filter.untrain_spam_tokens(spam_tokens);
-  });
   const double train_interned = ops_per_sec(min_seconds, [&] {
     filter.train_spam_ids(spam_ids);
     filter.untrain_spam_ids(spam_ids);
   });
 
-  // --- tokenization (message -> deduplicated token set, the unit every
-  // consumer uses: Filter::message_tokens vs message_token_ids) -----------
+  // --- tokenization (message -> deduplicated id set, the unit every
+  // consumer uses: Filter::message_token_ids) ------------------------------
   util::Rng tok_rng(1);
   const email::Message ham_msg = gen.generate_ham(tok_rng);
   const double msg_mb =
       static_cast<double>(email::render_message(ham_msg).size()) / 1.0e6;
 
-  const double tokenize_string =
-      ops_per_sec(min_seconds,
-                  [&] {
-                    g_sink = spambayes::unique_tokens(tok.tokenize(ham_msg))
-                                 .size();
-                  }) *
-      msg_mb;
   const double tokenize_ids =
       ops_per_sec(min_seconds,
                   [&] {
@@ -269,18 +250,15 @@ int main(int argc, char** argv) {
         ordinary_next = (ordinary_next + 1) % ordinary.size();
       });
 
-  // "metrics" is what tools/check_bench.py gates; the speedup ratios are
-  // informational only (a future improvement to the legacy string path
-  // would legitimately shrink them).
+  // "metrics" is what tools/check_bench.py gates; the speedup ratio is
+  // informational only (a future improvement to the uncached interned
+  // path would legitimately shrink it).
   const std::vector<Metric> metrics = {
-      {"classify_string_msgs_per_sec", classify_string},
       {"classify_interned_msgs_per_sec", classify_interned},
       {"classify_engine_msgs_per_sec", classify_engine},
       {"classify_engine_batch_msgs_per_sec", classify_engine_batch},
       {"classify_overlay_msgs_per_sec", classify_overlay},
-      {"train_untrain_string_ops_per_sec", train_string},
       {"train_untrain_interned_ops_per_sec", train_interned},
-      {"tokenize_to_set_string_mb_per_sec", tokenize_string},
       {"tokenize_to_ids_mb_per_sec", tokenize_ids},
       {"tokenize_to_known_ids_mb_per_sec", tokenize_known_ids},
       {"classify_served_msgs_per_sec", classify_served},
@@ -288,12 +266,8 @@ int main(int argc, char** argv) {
        overlay_train_after_dictionary},
   };
   const std::vector<Metric> info = {
-      {"classify_interned_speedup", classify_interned / classify_string},
-      {"classify_engine_speedup", classify_engine / classify_string},
       {"classify_engine_vs_interned_speedup",
        classify_engine / classify_interned},
-      {"train_untrain_interned_speedup", train_interned / train_string},
-      {"tokenize_to_ids_speedup", tokenize_ids / tokenize_string},
   };
 
   auto emit_block = [](const std::vector<Metric>& block) {

@@ -19,16 +19,6 @@ const sbx::corpus::TrecLikeGenerator& shared_generator() {
   return gen;
 }
 
-void BM_TokenizeHamMessage(benchmark::State& state) {
-  sbx::util::Rng rng(1);
-  const auto msg = shared_generator().generate_ham(rng);
-  const sbx::spambayes::Tokenizer tok;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tok.tokenize(msg));
-  }
-}
-BENCHMARK(BM_TokenizeHamMessage);
-
 void BM_TokenizeHamMessageToIds(benchmark::State& state) {
   sbx::util::Rng rng(1);
   const auto msg = shared_generator().generate_ham(rng);
@@ -38,31 +28,6 @@ void BM_TokenizeHamMessageToIds(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TokenizeHamMessageToIds);
-
-void BM_TrainHamMessage(benchmark::State& state) {
-  sbx::util::Rng rng(2);
-  const auto msg = shared_generator().generate_ham(rng);
-  const sbx::spambayes::Tokenizer tok;
-  const auto tokens = sbx::spambayes::unique_tokens(tok.tokenize(msg));
-  sbx::spambayes::Filter filter;
-  for (auto _ : state) {
-    filter.train_ham_tokens(tokens);
-  }
-}
-BENCHMARK(BM_TrainHamMessage);
-
-void BM_TrainUntrainRoundTrip(benchmark::State& state) {
-  sbx::util::Rng rng(3);
-  const auto msg = shared_generator().generate_spam(rng);
-  const sbx::spambayes::Tokenizer tok;
-  const auto tokens = sbx::spambayes::unique_tokens(tok.tokenize(msg));
-  sbx::spambayes::Filter filter;
-  for (auto _ : state) {
-    filter.train_spam_tokens(tokens);
-    filter.untrain_spam_tokens(tokens);
-  }
-}
-BENCHMARK(BM_TrainUntrainRoundTrip);
 
 void BM_TrainHamMessageInterned(benchmark::State& state) {
   sbx::util::Rng rng(2);
@@ -103,40 +68,6 @@ void BM_DictionaryBatchTrainInterned(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DictionaryBatchTrainInterned);
-
-void BM_DictionaryBatchTrain(benchmark::State& state) {
-  const auto& gen = shared_generator();
-  const sbx::core::DictionaryAttack attack =
-      sbx::core::DictionaryAttack::aspell(gen.lexicons());
-  const sbx::spambayes::Tokenizer tok;
-  const auto tokens =
-      sbx::spambayes::unique_tokens(tok.tokenize(attack.attack_message()));
-  for (auto _ : state) {
-    sbx::spambayes::Filter filter;
-    filter.train_spam_tokens(tokens, 101);  // 1% of a 10k inbox, one update
-    benchmark::DoNotOptimize(filter.database().vocabulary_size());
-  }
-}
-BENCHMARK(BM_DictionaryBatchTrain);
-
-void BM_ClassifyMessage(benchmark::State& state) {
-  sbx::util::Rng rng(4);
-  const auto& gen = shared_generator();
-  sbx::spambayes::Filter filter;
-  const sbx::spambayes::Tokenizer tok;
-  for (int i = 0; i < 200; ++i) {
-    filter.train_ham_tokens(sbx::spambayes::unique_tokens(
-        tok.tokenize(gen.generate_ham(rng))));
-    filter.train_spam_tokens(sbx::spambayes::unique_tokens(
-        tok.tokenize(gen.generate_spam(rng))));
-  }
-  const auto probe = sbx::spambayes::unique_tokens(
-      tok.tokenize(gen.generate_ham(rng)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.classify_tokens(probe).score);
-  }
-}
-BENCHMARK(BM_ClassifyMessage);
 
 void BM_ClassifyMessageInterned(benchmark::State& state) {
   sbx::util::Rng rng(4);

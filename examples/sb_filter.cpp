@@ -70,7 +70,7 @@ int cmd_classify(const std::map<std::string, std::string>& args) {
   std::vector<email::Message> messages = email::read_mbox_file(args.at("in"));
   std::size_t counts[3] = {0, 0, 0};
   for (auto& msg : messages) {
-    spambayes::ScoreResult r = filter.classify(msg);
+    spambayes::ScoreIdResult r = filter.classify(msg);
     counts[static_cast<int>(r.verdict)] += 1;
     msg.remove_headers("X-SBX-Classification");
     msg.remove_headers("X-SBX-Score");

@@ -57,7 +57,7 @@ struct CraftContext {
 
   // --- Targeted (focused-style) attacks only ---
   const email::Message* target = nullptr;
-  const spambayes::TokenSet* target_tokens = nullptr;
+  const std::vector<std::string>* target_tokens = nullptr;
   const std::vector<const email::Message*>* spam_header_pool = nullptr;
 };
 

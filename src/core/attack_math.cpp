@@ -18,16 +18,6 @@ std::size_t attack_message_count(std::size_t clean_messages,
 
 double score_under_attack(const spambayes::Classifier& classifier,
                           const spambayes::TokenDatabase& db,
-                          const spambayes::TokenSet& message_tokens,
-                          const spambayes::TokenSet& attack_tokens,
-                          std::uint32_t copies) {
-  return score_under_attack(classifier, db,
-                            spambayes::intern_tokens(message_tokens),
-                            spambayes::intern_tokens(attack_tokens), copies);
-}
-
-double score_under_attack(const spambayes::Classifier& classifier,
-                          const spambayes::TokenDatabase& db,
                           const spambayes::TokenIdSet& message_ids,
                           const spambayes::TokenIdSet& attack_ids,
                           std::uint32_t copies) {

@@ -24,20 +24,13 @@ std::size_t attack_message_count(std::size_t clean_messages,
 
 /// §3.4's optimality analysis, exposed for tests and ablations: scores a
 /// message against `db` augmented with `copies` spam-trained attack
-/// messages carrying exactly `attack_tokens`. Because token scores of
+/// messages carrying exactly `attack_ids`. Because token scores of
 /// distinct words do not interact when the message count is fixed, and
 /// I(E) is monotonically non-decreasing in each f(w), *adding a word to
 /// the attack payload never lowers* the resulting score of any message
 /// containing that word — the fact that makes the full dictionary the
 /// optimal indiscriminate payload. Property tests verify this via the
 /// helper. `db` is copied; the original is untouched.
-double score_under_attack(const spambayes::Classifier& classifier,
-                          const spambayes::TokenDatabase& db,
-                          const spambayes::TokenSet& message_tokens,
-                          const spambayes::TokenSet& attack_tokens,
-                          std::uint32_t copies);
-
-/// Interned-id variant of the same helper (hot-path form).
 double score_under_attack(const spambayes::Classifier& classifier,
                           const spambayes::TokenDatabase& db,
                           const spambayes::TokenIdSet& message_ids,

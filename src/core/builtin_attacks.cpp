@@ -30,6 +30,7 @@
 #include "core/informed_attack.h"
 #include "email/builder.h"
 #include "spambayes/classifier.h"
+#include "spambayes/scoring_math.h"
 #include "util/error.h"
 
 namespace sbx::core {
@@ -423,7 +424,7 @@ class ObfuscationAttack : public AttackBase {
     EvadeResult result;
     result.message = message;
 
-    const spambayes::ScoreResult initial = ctx.filter.classify(message);
+    const spambayes::ScoreIdResult initial = ctx.filter.classify(message);
     result.queries = 1;
     result.score_before = initial.score;
     result.score_after = initial.score;
@@ -469,7 +470,15 @@ class ObfuscationAttack : public AttackBase {
       for (char& c : lowered) {
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
       }
-      candidates.push_back({i, classifier.token_score(db, lowered)});
+      // find(), never intern(): ranking must not grow the interner. A
+      // spelling it lacks has zero counts in every database.
+      const auto id = spambayes::global_interner().find(lowered);
+      const spambayes::TokenCounts counts =
+          id ? db.counts(*id) : spambayes::TokenCounts{};
+      candidates.push_back(
+          {i, spambayes::detail::score_from_counts(
+                  counts, db.spam_count(), db.ham_count(),
+                  classifier.options())});
     }
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Candidate& a, const Candidate& b) {
@@ -493,7 +502,7 @@ class ObfuscationAttack : public AttackBase {
       mangled.reserve(body.size() + result.words_added);
       for (const auto& chunk : chunks) mangled += chunk;
       result.message.set_body(std::move(mangled));
-      const spambayes::ScoreResult r = ctx.filter.classify(result.message);
+      const spambayes::ScoreIdResult r = ctx.filter.classify(result.message);
       result.queries += 1;
       result.score_after = r.score;
       if (verdict_at_most(r.verdict, ctx.goal)) {

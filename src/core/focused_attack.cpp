@@ -1,5 +1,8 @@
 #include "core/focused_attack.h"
 
+#include <algorithm>
+#include <string_view>
+
 #include "email/builder.h"
 #include "email/mime.h"
 #include "util/error.h"
@@ -7,7 +10,7 @@
 namespace sbx::core {
 
 FocusedAttack::FocusedAttack(FocusedAttackConfig config,
-                             spambayes::TokenSet target_body_words,
+                             std::vector<std::string> target_body_words,
                              util::Rng& rng)
     : config_(config), target_words_(std::move(target_body_words)) {
   if (config_.guess_probability < 0.0 || config_.guess_probability > 1.0) {
@@ -70,18 +73,21 @@ std::vector<email::Message> FocusedAttack::generate(
   return out;
 }
 
-spambayes::TokenSet attackable_body_words(const email::Message& msg,
-                                          const spambayes::Tokenizer& tok) {
-  spambayes::TokenList raw = tok.tokenize_text(email::extract_text(msg));
-  spambayes::TokenList plain;
-  plain.reserve(raw.size());
-  for (auto& t : raw) {
+std::vector<std::string> attackable_body_words(
+    const email::Message& msg, const spambayes::Tokenizer& tok) {
+  const spambayes::TokenInterner& interner = spambayes::global_interner();
+  std::vector<std::string> words;
+  for (spambayes::TokenId id : spambayes::unique_token_ids(
+           tok.tokenize_text_ids(email::extract_text(msg)))) {
+    const std::string_view t = interner.spelling(id);
     // Skip pseudo-tokens: the attacker writes words into a body, so only
     // tokens that re-tokenize to themselves are usable.
-    if (t.rfind("skip:", 0) == 0 || t.rfind("url:", 0) == 0) continue;
-    plain.push_back(std::move(t));
+    if (t.starts_with("skip:") || t.starts_with("url:")) continue;
+    words.emplace_back(t);
   }
-  return spambayes::unique_tokens(plain);
+  // FocusedAttack draws one Bernoulli per word in this order.
+  std::sort(words.begin(), words.end());
+  return words;
 }
 
 }  // namespace sbx::core

@@ -48,11 +48,12 @@ struct FocusedAttackConfig {
 class FocusedAttack {
  public:
   /// Binds the attack to a target. The guess set is drawn immediately from
-  /// `rng` (unless fresh_guess_per_email). `target_tokens` should be the
-  /// target's *body* word tokens — the attacker predicts content, not the
+  /// `rng` (unless fresh_guess_per_email), one Bernoulli per word in the
+  /// order given. `target_body_words` should be the target's *body* words
+  /// (attackable_body_words()) — the attacker predicts content, not the
   /// victim's mail headers.
   FocusedAttack(FocusedAttackConfig config,
-                spambayes::TokenSet target_body_words, util::Rng& rng);
+                std::vector<std::string> target_body_words, util::Rng& rng);
 
   /// The tokens the attacker guessed (i.e. the payload of every attack
   /// email when fresh_guess_per_email is false).
@@ -77,14 +78,15 @@ class FocusedAttack {
   std::vector<std::string> draw_guess(util::Rng& rng) const;
 
   FocusedAttackConfig config_;
-  spambayes::TokenSet target_words_;
+  std::vector<std::string> target_words_;
   std::vector<std::string> guessed_;
 };
 
 /// Extracts the plain body words of a message that a focused attacker can
 /// guess and embed in its own attack bodies: word tokens only (no header
-/// tokens, no skip:/url: pseudo-tokens).
-spambayes::TokenSet attackable_body_words(const email::Message& msg,
-                                          const spambayes::Tokenizer& tok);
+/// tokens, no skip:/url: pseudo-tokens), each once, sorted by std::string
+/// byte order. Interns the body's tokens.
+std::vector<std::string> attackable_body_words(
+    const email::Message& msg, const spambayes::Tokenizer& tok);
 
 }  // namespace sbx::core

@@ -22,7 +22,7 @@ GoodWordAttack::Result GoodWordAttack::evade(const spambayes::Filter& filter,
   Result result;
   result.message = spam;
 
-  spambayes::ScoreResult initial = filter.classify(result.message);
+  spambayes::ScoreIdResult initial = filter.classify(result.message);
   result.queries = 1;
   result.score_before = initial.score;
   result.score_after = initial.score;
@@ -46,7 +46,7 @@ GoodWordAttack::Result GoodWordAttack::evade(const spambayes::Filter& filter,
     }
     result.words_added += batch;
     result.message.set_body(padded_body);
-    spambayes::ScoreResult r = filter.classify(result.message);
+    spambayes::ScoreIdResult r = filter.classify(result.message);
     result.queries += 1;
     result.score_after = r.score;
     if (verdict_at_most(r.verdict, goal)) {

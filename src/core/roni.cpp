@@ -74,10 +74,4 @@ RoniAssessment RoniDefense::assess(const spambayes::TokenIdSet& query_ids,
   return out;
 }
 
-RoniAssessment RoniDefense::assess(const spambayes::TokenSet& query_tokens,
-                                   const corpus::TokenizedDataset& pool,
-                                   util::Rng& rng) const {
-  return assess(spambayes::intern_tokens(query_tokens), pool, rng);
-}
-
 }  // namespace sbx::core

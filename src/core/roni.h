@@ -49,16 +49,12 @@ class RoniDefense {
  public:
   RoniDefense(RoniConfig config, spambayes::FilterOptions filter_options);
 
-  /// Measures the impact of training the interned query email as spam,
-  /// using (T, V) pairs resampled from `pool`. The pool must contain at
-  /// least train_size + validation_size messages. This is the hot path —
-  /// every trial trains/untrains/classifies over id arrays only.
+  /// Measures the impact of training the query email, given as its id set
+  /// (Filter::message_token_ids), as spam, using (T, V) pairs resampled
+  /// from `pool`. The pool must contain at least train_size +
+  /// validation_size messages. Every trial trains, untrains and
+  /// classifies over id arrays only.
   RoniAssessment assess(const spambayes::TokenIdSet& query_ids,
-                        const corpus::TokenizedDataset& pool,
-                        util::Rng& rng) const;
-
-  /// String-set wrapper: interns `query_tokens` and forwards.
-  RoniAssessment assess(const spambayes::TokenSet& query_tokens,
                         const corpus::TokenizedDataset& pool,
                         util::Rng& rng) const;
 

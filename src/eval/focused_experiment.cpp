@@ -130,7 +130,7 @@ std::vector<FocusedKnowledgePoint> run_focused_knowledge(
           const email::Message target = gen.generate_ham(rng);
           const spambayes::TokenIdSet target_ids =
               run.filter.message_token_ids(target);
-          const spambayes::TokenSet body_words =
+          const std::vector<std::string> body_words =
               core::attackable_body_words(target, tokenizer);
           const bool control_ham =
               run.filter.classify_ids(target_ids).verdict ==
@@ -210,7 +210,7 @@ std::vector<FocusedSizePoint> run_focused_size(
           const email::Message target = gen.generate_ham(rng);
           const spambayes::TokenIdSet target_ids =
               run.filter.message_token_ids(target);
-          const spambayes::TokenSet body_words =
+          const std::vector<std::string> body_words =
               core::attackable_body_words(target, tokenizer);
 
           util::Rng attack_rng = rng.fork(104729 * (t + 1));
@@ -304,7 +304,7 @@ std::vector<TokenShiftExample> run_token_shift(
     // One tokenizer pass; spellings for the report are resolved from ids.
     const spambayes::TokenIdSet target_ids =
         run.filter.message_token_ids(target);
-    const spambayes::TokenSet body_words =
+    const std::vector<std::string> body_words =
         core::attackable_body_words(target, tokenizer);
 
     core::FocusedAttackConfig attack_config;
@@ -314,8 +314,7 @@ std::vector<TokenShiftExample> run_token_shift(
     std::vector<email::Message> attack_emails =
         attack.generate(run.spam_headers, attack_count, attack_rng);
 
-    // Token scores before. Shift points are reported in spelling order
-    // (the order the string path produced).
+    // Token scores before. Shift points are reported in spelling order.
     const double score_before = run.filter.classify_ids(target_ids).score;
     const spambayes::TokenInterner& interner = spambayes::global_interner();
     std::vector<spambayes::TokenId> report_ids = target_ids;

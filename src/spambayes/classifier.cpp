@@ -55,36 +55,9 @@ Classifier::Classifier(ClassifierOptions opts) : opts_(opts) {
   }
 }
 
-double Classifier::token_score(const TokenDatabase& db,
-                               std::string_view token) const {
-  return detail::score_from_counts(db.counts(token), db.spam_count(),
-                                   db.ham_count(), opts_);
-}
-
 double Classifier::token_score(const TokenDatabase& db, TokenId id) const {
   return detail::score_from_counts(db.counts(id), db.spam_count(),
                                    db.ham_count(), opts_);
-}
-
-ScoreResult Classifier::score(const TokenDatabase& db,
-                              const TokenSet& tokens) const {
-  TokenInterner& interner = global_interner();
-  TokenIdList ids;
-  ids.reserve(tokens.size());
-  for (const auto& t : tokens) ids.push_back(interner.intern(t));
-  const ScoreIdResult scored = score_ids(db, ids);
-  ScoreResult result;
-  result.score = scored.score;
-  result.spam_evidence = scored.spam_evidence;
-  result.ham_evidence = scored.ham_evidence;
-  result.tokens_used = scored.tokens_used;
-  result.verdict = scored.verdict;
-  result.evidence.reserve(tokens.size());
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    const TokenIdEvidence& ev = scored.evidence[i];
-    result.evidence.push_back({tokens[i], ev.score, ev.used});
-  }
-  return result;
 }
 
 ScoreIdResult Classifier::score_ids(const TokenDatabase& db,

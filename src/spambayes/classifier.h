@@ -5,25 +5,23 @@
 // across the most significant tokens with Fisher's method, thresholded
 // into ham / unsure / spam.
 //
-// Classifier holds no scoring logic of its own. Its score/score_ids
-// methods forward to ScoreEngine's fresh source (score_engine.h), the one
+// Classifier holds no scoring logic of its own. Its score_ids methods
+// forward to ScoreEngine's fresh source (score_engine.h), the one
 // implementation of delta(E) selection and the Fisher combination, on a
-// per-thread engine kept apart from the memoizing one Filter uses:
-//  * score_ids() — over interned id arrays, against one database or the
-//    virtual merge of a base database and an overlay.
-//  * score() — the string-set wrapper: interns the set, scores it, and
-//    returns evidence with spellings in the input order.
-// The types and verdict cutoffs every scoring path shares live here too.
+// per-thread engine kept apart from the memoizing one Filter uses. They
+// score interned id arrays against one database or the virtual merge of a
+// base database and an overlay; evidence carries ids, whose spellings
+// TokenInterner::spelling resolves. The types and verdict cutoffs every
+// scoring path shares live here too.
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
 #include "spambayes/interner.h"
 #include "spambayes/options.h"
 #include "spambayes/token_db.h"
-#include "spambayes/tokenizer.h"
 
 namespace sbx::spambayes {
 
@@ -39,40 +37,22 @@ std::string_view to_string(Verdict v);
 bool verdict_at_most(Verdict v, Verdict goal);
 
 /// One token's contribution to a score, exposed for analysis (Figure 4
-/// plots these before/after an attack).
-struct TokenEvidence {
-  std::string token;
+/// plots these before/after an attack). Resolve the spelling on demand via
+/// TokenInterner::spelling.
+struct TokenIdEvidence {
+  TokenId id = 0;
   double score = 0.5;  // f(w) from Eq. 2
   bool used = false;   // selected into delta(E)?
 };
 
-/// Interned counterpart of TokenEvidence (resolve spellings on demand via
-/// TokenInterner::spelling).
-struct TokenIdEvidence {
-  TokenId id = 0;
-  double score = 0.5;
-  bool used = false;
-};
-
 /// Full scoring breakdown for one message.
-struct ScoreResult {
-  double score = 0.5;          // I(E) in [0,1], Eq. 3
-  double spam_evidence = 0.0;  // H(E) in the paper's notation, Eq. 4
-  double ham_evidence = 0.0;   // S(E)
+struct ScoreIdResult {
+  double score = 0.5;           // I(E) in [0,1], Eq. 3
+  double spam_evidence = 0.0;   // H(E) in the paper's notation, Eq. 4
+  double ham_evidence = 0.0;    // S(E)
   std::size_t tokens_used = 0;  // n = |delta(E)|
   Verdict verdict = Verdict::unsure;
-  std::vector<TokenEvidence> evidence;  // one entry per distinct token
-};
-
-/// Scoring breakdown over interned ids; numerically identical to the
-/// ScoreResult the string path produces for the same token set.
-struct ScoreIdResult {
-  double score = 0.5;
-  double spam_evidence = 0.0;
-  double ham_evidence = 0.0;
-  std::size_t tokens_used = 0;
-  Verdict verdict = Verdict::unsure;
-  std::vector<TokenIdEvidence> evidence;  // in input-id order
+  std::vector<TokenIdEvidence> evidence;  // one per distinct id, input order
 };
 
 /// Stateless scorer over a TokenDatabase snapshot. Every scoring method
@@ -82,15 +62,8 @@ class Classifier {
  public:
   explicit Classifier(ClassifierOptions opts = {});
 
-  /// f(w) per Eq. 1-2 against the given database.
-  double token_score(const TokenDatabase& db, std::string_view token) const;
-
-  /// f(w) for an interned token (the hot-path form).
+  /// f(w) per Eq. 1-2 for an interned token against the given database.
   double token_score(const TokenDatabase& db, TokenId id) const;
-
-  /// Scores a deduplicated token set; fills the full breakdown. Interns
-  /// the set; evidence entries follow the input order.
-  ScoreResult score(const TokenDatabase& db, const TokenSet& tokens) const;
 
   /// Scores a deduplicated id set. `ids` may be in any order (the score is
   /// order-independent; evidence entries follow the input order). The

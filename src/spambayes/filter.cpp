@@ -1,15 +1,9 @@
 #include "spambayes/filter.h"
 
-#include "util/error.h"
-
 namespace sbx::spambayes {
 
 Filter::Filter(FilterOptions opts)
     : opts_(opts), tokenizer_(opts.tokenizer), classifier_(opts.classifier) {}
-
-TokenSet Filter::message_tokens(const email::Message& msg) const {
-  return unique_tokens(tokenizer_.tokenize(msg));
-}
 
 TokenIdSet Filter::message_token_ids(const email::Message& msg) const {
   return unique_token_ids(tokenizer_.tokenize_ids(msg));
@@ -40,24 +34,6 @@ void Filter::untrain_spam(const email::Message& msg) {
   db_.untrain_spam_ids(message_token_ids(msg));
 }
 
-void Filter::train_ham_tokens(const TokenSet& tokens, std::uint32_t copies) {
-  db_.train_ham(tokens, copies);
-}
-
-void Filter::train_spam_tokens(const TokenSet& tokens, std::uint32_t copies) {
-  db_.train_spam(tokens, copies);
-}
-
-void Filter::untrain_ham_tokens(const TokenSet& tokens,
-                                std::uint32_t copies) {
-  db_.untrain_ham(tokens, copies);
-}
-
-void Filter::untrain_spam_tokens(const TokenSet& tokens,
-                                 std::uint32_t copies) {
-  db_.untrain_spam(tokens, copies);
-}
-
 void Filter::train_ham_ids(const TokenIdSet& ids, std::uint32_t copies) {
   db_.train_ham_ids(ids, copies);
 }
@@ -74,12 +50,8 @@ void Filter::untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies) {
   db_.untrain_spam_ids(ids, copies);
 }
 
-ScoreResult Filter::classify(const email::Message& msg) const {
-  return classifier_.score(db_, message_tokens(msg));
-}
-
-ScoreResult Filter::classify_tokens(const TokenSet& tokens) const {
-  return classifier_.score(db_, tokens);
+ScoreIdResult Filter::classify(const email::Message& msg) const {
+  return classifier_.score_ids(db_, message_token_ids(msg));
 }
 
 ScoreIdResult Filter::classify_ids(const TokenIdSet& ids) const {
@@ -88,12 +60,11 @@ ScoreIdResult Filter::classify_ids(const TokenIdSet& ids) const {
 }
 
 void Filter::set_cutoffs(double ham_cutoff, double spam_cutoff) {
-  if (ham_cutoff < 0 || spam_cutoff > 1 || ham_cutoff > spam_cutoff) {
-    throw InvalidArgument("Filter::set_cutoffs: invalid thresholds");
-  }
-  opts_.classifier.ham_cutoff = ham_cutoff;
-  opts_.classifier.spam_cutoff = spam_cutoff;
-  classifier_ = Classifier(opts_.classifier);
+  ClassifierOptions next = opts_.classifier;
+  next.ham_cutoff = ham_cutoff;
+  next.spam_cutoff = spam_cutoff;
+  classifier_ = Classifier(next);  // validates; throws before any change
+  opts_.classifier = next;
 }
 
 }  // namespace sbx::spambayes

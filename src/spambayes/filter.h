@@ -11,10 +11,10 @@
 //   auto result = filter.classify(incoming);
 //   if (result.verdict == Verdict::spam) { ... }
 //
-// Hot paths: the *_ids methods operate on interned TokenIdSet message
-// representations (see interner.h) — tokenize a message once with
-// message_token_ids(), then train/untrain/classify with pure id arrays.
-// The string-set methods are thin wrappers kept for API compatibility.
+// Messages are represented as interned TokenIdSets (see interner.h): the
+// Message methods tokenize with message_token_ids() and forward to the
+// *_ids methods, which callers holding ids use directly — tokenize a
+// message once, then train/untrain/classify with pure id arrays.
 #pragma once
 
 #include <cstdint>
@@ -50,13 +50,6 @@ class Filter {
   void untrain_ham(const email::Message& msg);
   void untrain_spam(const email::Message& msg);
 
-  /// Pre-tokenized string-set variants (compatibility wrappers; they intern
-  /// and forward to the id path).
-  void train_ham_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-  void train_spam_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-  void untrain_ham_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-  void untrain_spam_tokens(const TokenSet& tokens, std::uint32_t copies = 1);
-
   /// Pre-interned variants — the hot paths in the experiment harness, which
   /// tokenizes each corpus message once and reuses the id sets.
   void train_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
@@ -64,15 +57,14 @@ class Filter {
   void untrain_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
   void untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
 
-  /// Scores and labels a message.
-  ScoreResult classify(const email::Message& msg) const;
+  /// Scores and labels a message: message_token_ids() scored by the
+  /// Classifier's fresh source, so it fills no memo and leaves the calling
+  /// thread's memoizing engine bound as it was.
+  ScoreIdResult classify(const email::Message& msg) const;
 
-  /// Scores a pre-tokenized message.
-  ScoreResult classify_tokens(const TokenSet& tokens) const;
-
-  /// Scores a pre-interned message — bit-identical score/verdict to the
-  /// string path, with no per-token hashing. Routed through the calling
-  /// thread's ScoreEngine (see score_engine.h): per-token probabilities
+  /// Scores a pre-interned message — bit-identical to classify(msg) on the
+  /// message the ids came from. Routed through the calling thread's
+  /// ScoreEngine (see score_engine.h): per-token probabilities
   /// and Fisher log-terms are memoized per database generation, so
   /// repeated classification against an unchanged database skips the
   /// libm transcendentals entirely. Safe to call on a shared const Filter
@@ -93,11 +85,8 @@ class Filter {
                      std::forward<Sink>(sink));
   }
 
-  /// Tokenize-and-deduplicate helper matching what train/classify do.
-  TokenSet message_tokens(const email::Message& msg) const;
-
-  /// Interned counterpart of message_tokens() (one tokenizer pass, no
-  /// per-token strings).
+  /// Tokenize-and-deduplicate helper matching what train/classify do (one
+  /// tokenizer pass, no per-token strings).
   TokenIdSet message_token_ids(const email::Message& msg) const;
 
   /// Lookup-only sibling of message_token_ids(): the ids of the message's
@@ -116,6 +105,9 @@ class Filter {
   const FilterOptions& options() const { return opts_; }
 
   /// Replaces the classification cutoffs (dynamic-threshold defense).
+  /// Throws InvalidArgument, changing nothing, unless
+  /// 0 <= ham_cutoff <= spam_cutoff <= 1 (the Classifier constructor's
+  /// check).
   void set_cutoffs(double ham_cutoff, double spam_cutoff);
 
  private:

@@ -47,8 +47,8 @@ using TokenId = std::uint32_t;
 /// A list of token ids in occurrence order (may contain duplicates).
 using TokenIdList = std::vector<TokenId>;
 
-/// A deduplicated, ascending-sorted id set — the interned counterpart of
-/// TokenSet and the canonical hot-path message representation.
+/// A deduplicated, ascending-sorted id set — the canonical message
+/// representation every train, untrain and score takes.
 using TokenIdSet = std::vector<TokenId>;
 
 /// Append-only string interning table. See the header comment for the

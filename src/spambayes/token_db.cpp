@@ -195,29 +195,6 @@ void TokenDatabase::untrain_ham_ids(const TokenIdSet& ids,
   remove(ids, copies, /*spam=*/false);
 }
 
-void TokenDatabase::train_spam(const TokenSet& tokens, std::uint32_t copies) {
-  train_spam_ids(intern_tokens(tokens), copies);
-}
-
-void TokenDatabase::train_ham(const TokenSet& tokens, std::uint32_t copies) {
-  train_ham_ids(intern_tokens(tokens), copies);
-}
-
-void TokenDatabase::untrain_spam(const TokenSet& tokens,
-                                 std::uint32_t copies) {
-  untrain_spam_ids(intern_tokens(tokens), copies);
-}
-
-void TokenDatabase::untrain_ham(const TokenSet& tokens,
-                                std::uint32_t copies) {
-  untrain_ham_ids(intern_tokens(tokens), copies);
-}
-
-TokenCounts TokenDatabase::counts(std::string_view token) const {
-  const auto id = global_interner().find(token);
-  return id ? counts(*id) : TokenCounts{};
-}
-
 void TokenDatabase::merge(const TokenDatabase& other) {
   // The same check-then-change pass as add(): class totals first, then
   // every token count, so a merge that would wrap a count throws with the

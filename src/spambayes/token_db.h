@@ -16,9 +16,9 @@
 // clones just the leaves it writes that another database still holds
 // (path copying). So the serving layer's copy-on-write train and the
 // experiments' "copy a clean filter, graft an attack onto the copy" both
-// cost O(leaves touched), not O(highest TokenId ever interned). The
-// string-keyed API and the save()/load() wire format are preserved through
-// the process-wide interner.
+// cost O(leaves touched), not O(highest TokenId ever interned). Every
+// train, untrain and lookup takes interned ids; only the save()/load() wire
+// format is keyed by spelling, resolved through the process-wide interner.
 #pragma once
 
 #include <array>
@@ -28,12 +28,10 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "spambayes/interner.h"
-#include "spambayes/tokenizer.h"
 
 namespace sbx::spambayes {
 
@@ -60,29 +58,21 @@ class TokenDatabase {
   TokenDatabase() = default;
 
   /// Records `copies` spam emails, each containing exactly the tokens in
-  /// `ids` (a deduplicated id set, see unique_token_ids()). The *_ids
-  /// methods are the hot path; the string-set methods intern and forward.
-  /// (Distinct names, not overloads: a two-element braced string list would
-  /// otherwise ambiguously match vector<uint32_t>'s iterator-pair
-  /// constructor.)
+  /// `ids` (a deduplicated id set, see unique_token_ids()).
   /// Throws InvalidArgument, leaving contents and generation unchanged,
   /// when a count would pass 2^32 - 1.
   void train_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void train_spam(const TokenSet& tokens, std::uint32_t copies = 1);
 
   /// Records `copies` ham emails with the given token set.
   void train_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void train_ham(const TokenSet& tokens, std::uint32_t copies = 1);
 
   /// Exactly reverses a train_spam call with the same arguments.
   /// Throws InvalidArgument if the counts would go negative (i.e. the
   /// message was never trained).
   void untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void untrain_spam(const TokenSet& tokens, std::uint32_t copies = 1);
 
   /// Exactly reverses a train_ham call with the same arguments.
   void untrain_ham_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
-  void untrain_ham(const TokenSet& tokens, std::uint32_t copies = 1);
 
   /// Number of spam / ham training emails (NS, NH).
   std::uint32_t spam_count() const { return nspam_; }
@@ -93,9 +83,6 @@ class TokenDatabase {
   TokenCounts counts(TokenId id) const {
     return leaf_at(id / kLeafEntries)->entries[id % kLeafEntries];
   }
-
-  /// Counts for one token spelling; zeros if unseen.
-  TokenCounts counts(std::string_view token) const;
 
   /// Number of distinct tokens with nonzero counts.
   std::size_t vocabulary_size() const { return vocab_; }

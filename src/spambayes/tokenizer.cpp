@@ -62,15 +62,10 @@ bool looks_like_url(std::string_view w) {
          util::istarts_with(w, "www.");
 }
 
-/// Output adapters. All receive each token spelling exactly once, in
+/// Output adapters. Both receive each token spelling exactly once, in
 /// emission order; the buffers they are handed are transient (scratch or
-/// the message text), so they must copy (string sink), intern (id sink)
-/// or look up (known-id sink) immediately.
-struct StringSink {
-  TokenList* out;
-  void add(std::string_view token) { out->emplace_back(token); }
-};
-
+/// the message text), so they must intern (id sink) or look up (known-id
+/// sink) immediately.
 struct IdSink {
   TokenInterner* interner;
   TokenIdList* out;
@@ -138,8 +133,8 @@ class KnownIdSink {
 
 /// One tokenization pass over a message/text, generic over the output sink.
 /// Lower-casing and prefixing go through a reused scratch buffer (or none,
-/// for a word already lower case), so the id paths perform no per-token
-/// allocation. The emitted byte streams are identical for every sink.
+/// for a word already lower case), so tokenizing performs no per-token
+/// allocation. The emitted byte streams are identical for both sinks.
 template <typename Sink>
 class Emitter {
  public:
@@ -340,20 +335,6 @@ std::string_view strip_punct(std::string_view w) {
 
 Tokenizer::Tokenizer(TokenizerOptions opts) : opts_(opts) {}
 
-TokenList Tokenizer::tokenize(const email::Message& msg) const {
-  TokenList out;
-  Emitter<StringSink> emitter(opts_, StringSink{&out});
-  emitter.message(msg);
-  return out;
-}
-
-TokenList Tokenizer::tokenize_text(std::string_view text) const {
-  TokenList out;
-  Emitter<StringSink> emitter(opts_, StringSink{&out});
-  emitter.text(text);
-  return out;
-}
-
 TokenIdList Tokenizer::tokenize_ids(const email::Message& msg,
                                     TokenInterner& interner) const {
   TokenIdList out;
@@ -381,25 +362,9 @@ TokenIdList Tokenizer::tokenize_known_ids(
   return out;
 }
 
-TokenSet unique_tokens(const TokenList& tokens) {
-  TokenSet set = tokens;
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  return set;
-}
-
 TokenIdSet unique_token_ids(TokenIdList ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
-TokenIdSet intern_tokens(const TokenSet& tokens, TokenInterner& interner) {
-  TokenIdList ids;
-  ids.reserve(tokens.size());
-  for (const auto& t : tokens) ids.push_back(interner.intern(t));
-  // A deduplicated string set maps to distinct ids; only the order changes.
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

@@ -17,23 +17,23 @@
 //    (this is why the focused attack clones real spam headers: they carry
 //    spammy header tokens).
 //
-// Tokens are returned with duplicates; the classifier counts *presence*, so
-// TokenDatabase consumes the deduplicated set (unique_tokens()).
+// Tokens are emitted as interned ids (interner.h) with duplicates; the
+// classifier counts *presence*, so TokenDatabase consumes the deduplicated
+// ascending set (unique_token_ids()). A spelling, where one is needed (an
+// attacker rendering words into an email, save(), a report in spelling
+// order), is TokenInterner::spelling(id).
 //
-// Three output forms share one emission pass: the legacy string form
-// (TokenList, one std::string per token), the interned form (TokenIdList,
-// each token interned into a TokenInterner with zero per-token allocation
-// once the vocabulary is warm) and the known-ids form (TokenIdList of the
-// tokens already interned; unknown ones are dropped and the interner is
-// never written). The first two streams are byte-identical:
-// spelling(tokenize_ids(m)[i]) == tokenize(m)[i] for all i. The known-ids
-// form is deduplicated as it is emitted: tokenize_ids(m) with the ids the
-// interner did not hold before the call removed, keeping only the first
-// occurrence of each id, in first-occurrence order. It is the set served
-// classify scores, so it needs no sort afterwards.
+// Two output forms share one emission pass: the interned form
+// (TokenIdList, each token interned into a TokenInterner with zero
+// per-token allocation once the vocabulary is warm) and the known-ids form
+// (TokenIdList of the tokens already interned; unknown ones are dropped
+// and the interner is never written). The known-ids form is deduplicated
+// as it is emitted: tokenize_ids(m) with the ids the interner did not hold
+// before the call removed, keeping only the first occurrence of each id,
+// in first-occurrence order. It is the set served classify scores, so it
+// needs no sort afterwards.
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -43,27 +43,16 @@
 
 namespace sbx::spambayes {
 
-/// A list of tokens in occurrence order (may contain duplicates).
-using TokenList = std::vector<std::string>;
-
-/// A deduplicated, sorted token set (what training/classification uses).
-using TokenSet = std::vector<std::string>;
-
 /// Stateless tokenizer; cheap to copy.
 class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions opts = {});
 
-  /// Tokenizes a full message (headers per options + MIME-decoded body).
-  TokenList tokenize(const email::Message& msg) const;
-
-  /// Tokenizes a plain text blob (no header handling).
-  TokenList tokenize_text(std::string_view text) const;
-
-  /// Interned counterparts: the same token stream, emitted as ids. The hot
-  /// path for training/classification — no per-token string allocation.
+  /// Tokenizes a full message (headers per options + MIME-decoded body),
+  /// interning each token; ids in occurrence order, with duplicates.
   TokenIdList tokenize_ids(const email::Message& msg,
                            TokenInterner& interner = global_interner()) const;
+  /// Tokenizes a plain text blob (no header handling).
   TokenIdList tokenize_text_ids(
       std::string_view text,
       TokenInterner& interner = global_interner()) const;
@@ -85,19 +74,11 @@ class Tokenizer {
   TokenizerOptions opts_;
 };
 
-/// Deduplicates a token list into a sorted set. Classification and training
-/// operate on token presence (Eq. 1 counts emails containing w, not
-/// occurrences), so this is the canonical form.
-TokenSet unique_tokens(const TokenList& tokens);
-
-/// Deduplicates an id list into an ascending TokenIdSet (same presence
-/// semantics; dedup by id equals dedup by spelling since interning is
-/// injective).
+/// Deduplicates an id list into an ascending TokenIdSet. Classification
+/// and training operate on token presence (Eq. 1 counts emails containing
+/// w, not occurrences), so this is the canonical form; dedup by id equals
+/// dedup by spelling since interning is injective.
 TokenIdSet unique_token_ids(TokenIdList ids);
-
-/// Interns an already-deduplicated string set into an id set.
-TokenIdSet intern_tokens(const TokenSet& tokens,
-                         TokenInterner& interner = global_interner());
 
 /// Strips non-word characters (anything outside the tokenizer's word-char
 /// set: alnum, ', -, $, !) from both ends of `word` — the normalization

@@ -153,7 +153,7 @@ std::vector<std::string> craft_once(const Attack& attack,
   util::Rng target_rng(seed + 1);
   const email::Message target = generator().generate_ham(target_rng);
   const spambayes::Tokenizer tokenizer;
-  const spambayes::TokenSet body_words =
+  const std::vector<std::string> body_words =
       attackable_body_words(target, tokenizer);
   const email::Message spam_a = generator().generate_spam(target_rng);
   const email::Message spam_b = generator().generate_spam(target_rng);

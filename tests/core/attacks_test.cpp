@@ -1,7 +1,9 @@
 // Tests for core attacks: taxonomy labels, attack-count arithmetic,
 // dictionary attack construction, focused attack guessing model.
 #include <algorithm>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,14 @@
 #include "corpus/generator.h"
 #include "email/builder.h"
 #include "spambayes/filter.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::core {
 namespace {
+
+using test::ids;
+using test::spellings;
 
 TEST(Taxonomy, Descriptions) {
   AttackProperties dictionary = DictionaryAttack::properties();
@@ -53,22 +59,21 @@ TEST(AttackMath, AddingAttackWordsNeverLowersScore) {
   // word-by-word monotonically raises the score of a message whose words
   // the payload progressively covers.
   spambayes::TokenDatabase db;
-  db.train_ham({"alpha", "beta", "gamma", "delta"}, 10);
-  db.train_spam({"junk"}, 10);
+  db.train_ham_ids(ids({"alpha", "beta", "gamma", "delta"}), 10);
+  db.train_spam_ids(ids({"junk"}), 10);
   spambayes::Classifier classifier;
-  spambayes::TokenSet msg = {"alpha", "beta", "gamma", "delta"};
+  const spambayes::TokenIdSet msg = ids({"alpha", "beta", "gamma", "delta"});
 
-  spambayes::TokenSet attack = {"junk"};
-  double prev = score_under_attack(classifier, db, msg, attack, 10);
+  std::vector<std::string> attack = {"junk"};
+  double prev = score_under_attack(classifier, db, msg, ids(attack), 10);
   for (const char* word : {"alpha", "beta", "gamma", "delta"}) {
     attack.push_back(word);
-    std::sort(attack.begin(), attack.end());
-    double cur = score_under_attack(classifier, db, msg, attack, 10);
+    double cur = score_under_attack(classifier, db, msg, ids(attack), 10);
     EXPECT_GE(cur, prev - 1e-12) << word;
     prev = cur;
   }
   // Full coverage beats no coverage strictly.
-  EXPECT_GT(prev, score_under_attack(classifier, db, msg, {"junk"}, 10));
+  EXPECT_GT(prev, score_under_attack(classifier, db, msg, ids({"junk"}), 10));
 }
 
 class DictionaryAttackTest : public ::testing::Test {
@@ -87,7 +92,7 @@ TEST_F(DictionaryAttackTest, EmptyHeadersAndFullDictionaryBody) {
   EXPECT_EQ(msg.header_count(), 0u);  // contamination assumption: no headers
   // Tokenizing the message recovers exactly the dictionary words.
   spambayes::Tokenizer tok;
-  auto tokens = spambayes::unique_tokens(tok.tokenize(msg));
+  auto tokens = spambayes::unique_token_ids(tok.tokenize_ids(msg));
   EXPECT_EQ(tokens.size(), 98'568u);
 }
 
@@ -142,7 +147,7 @@ class FocusedAttackTest : public ::testing::Test {
 };
 
 TEST_F(FocusedAttackTest, GuessProbabilityControlsPayloadSize) {
-  spambayes::TokenSet target;
+  std::vector<std::string> target;
   for (int i = 0; i < 400; ++i) target.push_back("word" + std::to_string(i));
   std::sort(target.begin(), target.end());
 
@@ -161,7 +166,7 @@ TEST_F(FocusedAttackTest, GuessProbabilityControlsPayloadSize) {
 }
 
 TEST_F(FocusedAttackTest, SingleGuessSetSharedAcrossEmails) {
-  spambayes::TokenSet target = {"aaa", "bbb", "ccc", "ddd", "eee", "fff"};
+  std::vector<std::string> target = {"aaa", "bbb", "ccc", "ddd", "eee", "fff"};
   util::Rng rng(3);
   FocusedAttack attack({0.5, 0, false}, target, rng);
   email::Message donor =
@@ -175,7 +180,7 @@ TEST_F(FocusedAttackTest, SingleGuessSetSharedAcrossEmails) {
 }
 
 TEST_F(FocusedAttackTest, FreshGuessVariantDiffersAcrossEmails) {
-  spambayes::TokenSet target;
+  std::vector<std::string> target;
   for (int i = 0; i < 100; ++i) target.push_back("w" + std::to_string(i));
   std::sort(target.begin(), target.end());
   util::Rng rng(4);
@@ -191,7 +196,7 @@ TEST_F(FocusedAttackTest, FreshGuessVariantDiffersAcrossEmails) {
 }
 
 TEST_F(FocusedAttackTest, ClonesSpamHeadersButStripsMime) {
-  spambayes::TokenSet target = {"alpha", "beta", "gamma"};
+  std::vector<std::string> target = {"alpha", "beta", "gamma"};
   util::Rng rng(5);
   FocusedAttack attack({1.0, 0, false}, target, rng);
   email::Message donor = email::MessageBuilder()
@@ -209,7 +214,7 @@ TEST_F(FocusedAttackTest, ClonesSpamHeadersButStripsMime) {
     EXPECT_FALSE(m.has_header("Content-Type"));
     EXPECT_FALSE(m.has_header("Content-Transfer-Encoding"));
     // Payload visible to the tokenizer.
-    auto tokens = spambayes::unique_tokens(tok.tokenize(m));
+    auto tokens = spellings(tok.tokenize_ids(m));
     for (const auto& w : target) {
       EXPECT_NE(std::find(tokens.begin(), tokens.end(), w), tokens.end());
     }
@@ -217,14 +222,14 @@ TEST_F(FocusedAttackTest, ClonesSpamHeadersButStripsMime) {
 }
 
 TEST_F(FocusedAttackTest, FullKnowledgeGuessesEverything) {
-  spambayes::TokenSet target = {"one", "two", "three"};
+  std::vector<std::string> target = {"one", "two", "three"};
   util::Rng rng(6);
   FocusedAttack attack({1.0, 0, false}, target, rng);
   EXPECT_EQ(attack.guessed_words().size(), 3u);
 }
 
 TEST_F(FocusedAttackTest, ZeroKnowledgeFallsBackToMinimalPayload) {
-  spambayes::TokenSet target = {"one", "two", "three"};
+  std::vector<std::string> target = {"one", "two", "three"};
   util::Rng rng(7);
   FocusedAttack attack({0.0, 0, false}, target, rng);
   EXPECT_EQ(attack.guessed_words().size(), 1u);  // minimal junk payload
@@ -256,7 +261,7 @@ TEST_F(FocusedAttackTest, AttackableBodyWordsExcludePseudoTokens) {
 }
 
 TEST_F(FocusedAttackTest, ExtraWordsAppendFillerWithoutTouchingTarget) {
-  spambayes::TokenSet target = {"alpha", "beta"};
+  std::vector<std::string> target = {"alpha", "beta"};
   util::Rng rng(21);
   FocusedAttack attack({1.0, 25, false}, target, rng);
   // Payload = both target words + 25 filler tokens from the reserved
@@ -275,18 +280,16 @@ TEST_F(FocusedAttackTest, ExtraWordsAppendFillerWithoutTouchingTarget) {
   // attack: the target's score under the padded attack is >= under the
   // lean attack.
   spambayes::TokenDatabase db;
-  db.train_ham({"alpha", "beta", "gamma"}, 20);
-  db.train_spam({"junk"}, 20);
+  db.train_ham_ids(ids({"alpha", "beta", "gamma"}), 20);
+  db.train_spam_ids(ids({"junk"}), 20);
   spambayes::Classifier classifier;
   util::Rng rng2(22);
   FocusedAttack lean({1.0, 0, false}, target, rng2);
-  auto payload_set = [](const FocusedAttack& a) {
-    return spambayes::unique_tokens(a.guessed_words());
-  };
+  const spambayes::TokenIdSet target_ids = ids({"alpha", "beta", "gamma"});
   const double with_filler = score_under_attack(
-      classifier, db, {"alpha", "beta", "gamma"}, payload_set(attack), 10);
+      classifier, db, target_ids, ids(attack.guessed_words()), 10);
   const double lean_score = score_under_attack(
-      classifier, db, {"alpha", "beta", "gamma"}, payload_set(lean), 10);
+      classifier, db, target_ids, ids(lean.guessed_words()), 10);
   EXPECT_GE(with_filler, lean_score - 1e-12);
 }
 

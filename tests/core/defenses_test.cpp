@@ -6,6 +6,7 @@
 #include "core/dynamic_threshold.h"
 #include "core/roni.h"
 #include "corpus/generator.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::core {
@@ -35,7 +36,7 @@ TEST_F(RoniTest, RequiresLargeEnoughPool) {
   RoniDefense defense({20, 50, 5, 5.5}, {});
   util::Rng rng(1);
   auto pool = tokenized_pool(generator(), 30, rng);
-  EXPECT_THROW(defense.assess({"x"}, pool, rng), InvalidArgument);
+  EXPECT_THROW(defense.assess(test::ids({"x"}), pool, rng), InvalidArgument);
 }
 
 TEST_F(RoniTest, DictionaryAttackEmailRejected) {
@@ -45,7 +46,7 @@ TEST_F(RoniTest, DictionaryAttackEmailRejected) {
   DictionaryAttack attack = DictionaryAttack::usenet(generator().lexicons());
   spambayes::Tokenizer tok;
   auto attack_tokens =
-      spambayes::unique_tokens(tok.tokenize(attack.attack_message()));
+      spambayes::unique_token_ids(tok.tokenize_ids(attack.attack_message()));
   RoniAssessment a = defense.assess(attack_tokens, pool, rng);
   EXPECT_TRUE(a.rejected);
   EXPECT_GT(a.mean_ham_as_ham_decrease, 5.5);
@@ -59,8 +60,8 @@ TEST_F(RoniTest, OrdinarySpamAccepted) {
   spambayes::Tokenizer tok;
   util::Rng spam_rng(4);
   for (int i = 0; i < 5; ++i) {
-    auto tokens = spambayes::unique_tokens(
-        tok.tokenize(generator().generate_spam(spam_rng)));
+    auto tokens = spambayes::unique_token_ids(
+        tok.tokenize_ids(generator().generate_spam(spam_rng)));
     RoniAssessment a = defense.assess(tokens, pool, rng);
     EXPECT_FALSE(a.rejected) << "spam email " << i << " impact "
                              << a.mean_ham_as_ham_decrease;
@@ -74,7 +75,7 @@ TEST_F(RoniTest, DeterministicGivenRng) {
     return tokenized_pool(generator(), 200, rng);
   }();
   spambayes::Tokenizer tok;
-  auto tokens = spambayes::unique_tokens(tok.tokenize(
+  auto tokens = spambayes::unique_token_ids(tok.tokenize_ids(
       DictionaryAttack::aspell(generator().lexicons()).attack_message()));
   util::Rng r1(6), r2(6);
   RoniAssessment a1 = defense.assess(tokens, pool, r1);
@@ -200,7 +201,7 @@ TEST(ComputeDynamicThresholds, AttackShiftsThresholdsUp) {
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
 
   spambayes::Tokenizer tok;
-  auto attack_tokens = spambayes::unique_tokens(tok.tokenize(
+  auto attack_tokens = spambayes::unique_token_ids(tok.tokenize_ids(
       DictionaryAttack::usenet(gen.lexicons()).attack_message()));
 
   util::Rng r1(14), r2(14);

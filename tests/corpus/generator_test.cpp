@@ -9,10 +9,13 @@
 
 #include "email/rfc2822.h"
 #include "spambayes/tokenizer.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::corpus {
 namespace {
+
+using test::spellings;
 
 class GeneratorTest : public ::testing::Test {
  protected:
@@ -72,8 +75,8 @@ TEST_F(GeneratorTest, MeanTokenCountNearCalibration) {
   std::size_t total = 0;
   const int n = 300;
   for (int i = 0; i < n; ++i) {
-    total += tok.tokenize(generator().generate_ham(rng)).size();
-    total += tok.tokenize(generator().generate_spam(rng)).size();
+    total += tok.tokenize_ids(generator().generate_ham(rng)).size();
+    total += tok.tokenize_ids(generator().generate_spam(rng)).size();
   }
   double mean = static_cast<double>(total) / (2 * n);
   EXPECT_GT(mean, 180.0);
@@ -88,7 +91,7 @@ TEST_F(GeneratorTest, HamDrawsColloquialMass) {
   std::size_t colloquial = 0, total = 0;
   for (int i = 0; i < 100; ++i) {
     email::Message msg = generator().generate_ham(rng);
-    for (const auto& t : tok.tokenize_text(msg.body())) {
+    for (const auto& t : spellings(tok.tokenize_text_ids(msg.body()))) {
       total += 1;
       colloquial += t[0] == 'q' ? 1 : 0;
     }
@@ -130,7 +133,7 @@ TEST_F(GeneratorTest, FullVocabularyCoversEmittedBodyWords) {
   for (int i = 0; i < 50; ++i) {
     for (auto msg : {generator().generate_ham(rng),
                      generator().generate_spam(rng)}) {
-      for (const auto& t : tok.tokenize_text(msg.body())) {
+      for (const auto& t : spellings(tok.tokenize_text_ids(msg.body()))) {
         // Skip pseudo-tokens and numerics, which the optimal attack cannot
         // enumerate (documented in DESIGN.md).
         if (t.rfind("url:", 0) == 0 || t.rfind("skip:", 0) == 0) continue;
@@ -182,15 +185,15 @@ TEST_F(GeneratorTest, SpamAndHamVocabulariesOverlapPartially) {
   spambayes::Tokenizer tok;
   std::unordered_set<std::string> ham_tokens;
   for (int i = 0; i < 40; ++i) {
-    for (const auto& t :
-         tok.tokenize_text(generator().generate_ham(rng).body())) {
+    const std::string body = generator().generate_ham(rng).body();
+    for (const auto& t : spellings(tok.tokenize_text_ids(body))) {
       ham_tokens.insert(t);
     }
   }
   std::size_t shared = 0, spam_total = 0;
   for (int i = 0; i < 40; ++i) {
-    for (const auto& t :
-         tok.tokenize_text(generator().generate_spam(rng).body())) {
+    const std::string body = generator().generate_spam(rng).body();
+    for (const auto& t : spellings(tok.tokenize_text_ids(body))) {
       spam_total += 1;
       shared += ham_tokens.count(t);
     }

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include "spambayes/tokenizer.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::corpus {
 namespace {
+
+using test::spellings;
 
 TEST(WordGenerator, Deterministic) {
   EXPECT_EQ(WordGenerator::word(0), WordGenerator::word(0));
@@ -50,13 +53,13 @@ TEST(WordGenerator, WordsSurviveTokenization) {
   spambayes::Tokenizer tok;
   for (std::uint64_t i : {0ull, 17ull, 999ull, 98'567ull, 150'000ull}) {
     std::string w = WordGenerator::word(i);
-    auto tokens = tok.tokenize_text(w);
+    auto tokens = spellings(tok.tokenize_text_ids(w));
     ASSERT_EQ(tokens.size(), 1u) << w;
     EXPECT_EQ(tokens[0], w);
   }
   for (std::uint64_t i : {0ull, 28'999ull, 50'000ull}) {
     std::string w = WordGenerator::colloquial_word(i);
-    auto tokens = tok.tokenize_text(w);
+    auto tokens = spellings(tok.tokenize_text_ids(w));
     ASSERT_EQ(tokens.size(), 1u) << w;
     EXPECT_EQ(tokens[0], w);
   }

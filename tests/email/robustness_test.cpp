@@ -77,8 +77,9 @@ TEST_P(ParserFuzz, MimeExtractionIsTotal) {
     std::string text = extract_text(m);
     // And the tokenizer consumes whatever comes out.
     spambayes::Tokenizer tok;
-    (void)tok.tokenize(m);
-    (void)tok.tokenize_text(text);
+    spambayes::TokenInterner interner;
+    (void)tok.tokenize_ids(m, interner);
+    (void)tok.tokenize_text_ids(text, interner);
   }
 }
 

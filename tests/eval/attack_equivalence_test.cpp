@@ -111,7 +111,7 @@ TEST(AttackEquivalence, FocusedCraftedMessages) {
   const spambayes::Tokenizer tokenizer;
   util::Rng setup_rng(3);
   const email::Message target = generator().generate_ham(setup_rng);
-  const spambayes::TokenSet body_words =
+  const std::vector<std::string> body_words =
       core::attackable_body_words(target, tokenizer);
   const email::Message spam_a = generator().generate_spam(setup_rng);
   const email::Message spam_b = generator().generate_spam(setup_rng);

@@ -6,33 +6,37 @@
 #include "core/dynamic_threshold.h"
 #include "email/builder.h"
 #include "spambayes/filter.h"
+#include "support/token_ids.h"
 
 namespace sbx::spambayes {
 namespace {
+
+using test::ids;
+using test::spellings;
+using test::token_id;
 
 TEST(EdgeCases, DefaultDiscriminatorCapIs150) {
   // A message with 400 strongly scored tokens uses exactly 150 of them,
   // per footnote 3 of the paper.
   TokenDatabase db;
-  TokenSet msg;
+  TokenIdSet msg;
   for (int i = 0; i < 400; ++i) {
-    std::string t = "token" + std::to_string(i);
-    db.train_spam({t}, 3);
+    const TokenId t = token_id("token" + std::to_string(i));
+    db.train_spam_ids({t}, 3);
     msg.push_back(t);
   }
-  std::sort(msg.begin(), msg.end());
   Classifier c;
-  ScoreResult r = c.score(db, msg);
+  ScoreIdResult r = c.score_ids(db, msg);
   EXPECT_EQ(r.tokens_used, 150u);
   EXPECT_EQ(r.evidence.size(), 400u);
 }
 
 TEST(EdgeCases, MessageOfOnlyUnknownTokensIsUnsure) {
   TokenDatabase db;
-  db.train_spam({"seen"}, 10);
-  db.train_ham({"also-seen"}, 10);
+  db.train_spam_ids(ids({"seen"}), 10);
+  db.train_ham_ids(ids({"also-seen"}), 10);
   Classifier c;
-  ScoreResult r = c.score(db, {"novel1", "novel2", "novel3"});
+  ScoreIdResult r = c.score_ids(db, ids({"novel1", "novel2", "novel3"}));
   EXPECT_EQ(r.tokens_used, 0u);
   EXPECT_DOUBLE_EQ(r.score, 0.5);
   EXPECT_EQ(r.verdict, Verdict::unsure);
@@ -40,9 +44,9 @@ TEST(EdgeCases, MessageOfOnlyUnknownTokensIsUnsure) {
 
 TEST(EdgeCases, SingleTokenMessage) {
   TokenDatabase db;
-  db.train_spam({"alone"}, 30);
+  db.train_spam_ids(ids({"alone"}), 30);
   Classifier c;
-  ScoreResult r = c.score(db, {"alone"});
+  ScoreIdResult r = c.score_ids(db, ids({"alone"}));
   EXPECT_EQ(r.tokens_used, 1u);
   EXPECT_GT(r.score, 0.9);
   EXPECT_EQ(r.verdict, Verdict::spam);
@@ -64,7 +68,7 @@ TEST(EdgeCases, FilterHandlesEmptyMessage) {
   email::Message empty;
   filter.train_spam(empty);  // counts the email even with zero tokens
   EXPECT_EQ(filter.database().spam_count(), 1u);
-  ScoreResult r = filter.classify(empty);
+  ScoreIdResult r = filter.classify(empty);
   EXPECT_EQ(r.verdict, Verdict::unsure);
   filter.untrain_spam(empty);
   EXPECT_EQ(filter.database().spam_count(), 0u);
@@ -72,9 +76,9 @@ TEST(EdgeCases, FilterHandlesEmptyMessage) {
 
 TEST(EdgeCases, TokenizerHandlesPathologicalWhitespaceAndPunctuation) {
   Tokenizer tok;
-  EXPECT_TRUE(tok.tokenize_text(std::string(10'000, ' ')).empty());
-  EXPECT_TRUE(tok.tokenize_text(std::string(10'000, '.')).empty());
-  auto tokens = tok.tokenize_text(std::string(5'000, 'a'));
+  EXPECT_TRUE(tok.tokenize_text_ids(std::string(10'000, ' ')).empty());
+  EXPECT_TRUE(tok.tokenize_text_ids(std::string(10'000, '.')).empty());
+  auto tokens = spellings(tok.tokenize_text_ids(std::string(5'000, 'a')));
   // One giant word: a single skip token (the pieces filter to nothing).
   ASSERT_EQ(tokens.size(), 1u);
   EXPECT_EQ(tokens[0], "skip:a 5000");
@@ -95,12 +99,12 @@ TEST(EdgeCases, ThresholdUtilityTiesAtExactScores) {
 
 TEST(EdgeCases, BatchTrainingHugeCopyCountsDoNotOverflow) {
   TokenDatabase db;
-  db.train_spam({"w"}, 2'000'000);
-  db.train_spam({"w"}, 2'000'000);
+  db.train_spam_ids(ids({"w"}), 2'000'000);
+  db.train_spam_ids(ids({"w"}), 2'000'000);
   EXPECT_EQ(db.spam_count(), 4'000'000u);
-  EXPECT_EQ(db.counts("w").spam, 4'000'000u);
+  EXPECT_EQ(db.counts(token_id("w")).spam, 4'000'000u);
   Classifier c;
-  double f = c.token_score(db, "w");
+  double f = c.token_score(db, token_id("w"));
   EXPECT_GT(f, 0.99);
   EXPECT_LT(f, 1.0);
 }
@@ -110,17 +114,16 @@ TEST(EdgeCases, ScoresAreMidpointSymmetricForMirroredEvidence) {
   // symmetry of Eq. 3.
   TokenDatabase db;
   for (int i = 0; i < 5; ++i) {
-    db.train_spam({"s" + std::to_string(i)}, 10);
-    db.train_ham({"h" + std::to_string(i)}, 10);
+    db.train_spam_ids(ids({"s" + std::to_string(i)}), 10);
+    db.train_ham_ids(ids({"h" + std::to_string(i)}), 10);
   }
   Classifier c;
-  TokenSet msg;
+  std::vector<std::string> msg;
   for (int i = 0; i < 5; ++i) {
     msg.push_back("s" + std::to_string(i));
     msg.push_back("h" + std::to_string(i));
   }
-  std::sort(msg.begin(), msg.end());
-  EXPECT_NEAR(c.score(db, msg).score, 0.5, 1e-9);
+  EXPECT_NEAR(c.score_ids(db, ids(msg)).score, 0.5, 1e-9);
 }
 
 }  // namespace

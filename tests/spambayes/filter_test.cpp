@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "email/builder.h"
+#include "support/token_ids.h"
 #include "util/error.h"
 
 namespace sbx::spambayes {
 namespace {
+
+using test::token_id;
 
 email::Message spam_message(int i) {
   return email::MessageBuilder()
@@ -50,7 +53,8 @@ TEST(Filter, TrainSpamCopiesEqualsLoop) {
   batch.train_spam_copies(msg, 33);
   EXPECT_EQ(loop.database().spam_count(), batch.database().spam_count());
   for (const auto& [token, counts] : loop.database().tokens()) {
-    EXPECT_EQ(batch.database().counts(token).spam, counts.spam) << token;
+    EXPECT_EQ(batch.database().counts(token_id(token)).spam, counts.spam)
+        << token;
   }
   // And classification agrees exactly.
   EXPECT_DOUBLE_EQ(loop.classify(ham_message(1)).score,
@@ -79,13 +83,13 @@ TEST(Filter, UntrainRestoresClassification) {
 TEST(Filter, TokensViewMatchesTrainAndClassify) {
   Filter filter;
   email::Message msg = ham_message(7);
-  TokenSet tokens = filter.message_tokens(msg);
+  const TokenIdSet tokens = filter.message_token_ids(msg);
   Filter other;
-  other.train_ham_tokens(tokens);
+  other.train_ham_ids(tokens);
   filter.train_ham(msg);
   EXPECT_EQ(filter.database().ham_count(), other.database().ham_count());
-  EXPECT_DOUBLE_EQ(filter.classify(msg).score,
-                   other.classify_tokens(tokens).score);
+  EXPECT_EQ(filter.database().tokens(), other.database().tokens());
+  EXPECT_EQ(filter.classify(msg).score, other.classify_ids(tokens).score);
 }
 
 TEST(Filter, SetCutoffsChangesVerdictsOnly) {
@@ -101,7 +105,19 @@ TEST(Filter, SetCutoffsChangesVerdictsOnly) {
   if (score > 0.0 && score < 1.0) {
     EXPECT_EQ(filter.classify(probe).verdict, Verdict::unsure);
   }
+  // A rejected call changes nothing: verdicts keep the previous cutoffs.
+  ASSERT_GT(score, 0.0);
+  ASSERT_LT(score, 0.9);
   EXPECT_THROW(filter.set_cutoffs(0.9, 0.1), InvalidArgument);
+  EXPECT_THROW(filter.set_cutoffs(0.9, 1.5), InvalidArgument);
+  EXPECT_THROW(filter.set_cutoffs(-0.1, 0.5), InvalidArgument);
+  EXPECT_EQ(filter.classify(probe).verdict, Verdict::unsure);
+  EXPECT_EQ(filter.classify_ids(filter.message_token_ids(probe)).verdict,
+            Verdict::unsure);
+  EXPECT_EQ(filter.options().classifier.ham_cutoff, 0.0);
+  EXPECT_EQ(filter.options().classifier.spam_cutoff, 1.0);
+  EXPECT_EQ(filter.classifier().options().ham_cutoff, 0.0);
+  EXPECT_EQ(filter.classifier().options().spam_cutoff, 1.0);
 }
 
 TEST(Filter, HeaderEvidenceMatters) {

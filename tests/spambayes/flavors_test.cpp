@@ -1,6 +1,8 @@
 // Tests for the tokenizer flavor presets (footnote 1 of the paper) and the
 // prefix_header_tokens option they exercise.
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,11 +10,16 @@
 #include "spambayes/classifier.h"
 #include "spambayes/token_db.h"
 #include "spambayes/tokenizer.h"
+#include "support/token_ids.h"
 
 namespace sbx::spambayes {
 namespace {
 
-bool contains(const TokenList& tokens, const std::string& t) {
+using test::ids;
+using test::spellings;
+using test::token_id;
+
+bool contains(const std::vector<std::string>& tokens, const std::string& t) {
   return std::find(tokens.begin(), tokens.end(), t) != tokens.end();
 }
 
@@ -36,12 +43,12 @@ TEST(Flavors, UnprefixedHeadersShareBodyTokenSpace) {
                            .body("unrelated words\n")
                            .build();
   Tokenizer spambayes_tok(TokenizerFlavors::spambayes());
-  auto prefixed = spambayes_tok.tokenize(msg);
+  auto prefixed = spellings(spambayes_tok.tokenize_ids(msg));
   EXPECT_TRUE(contains(prefixed, "subject:budget"));
   EXPECT_FALSE(contains(prefixed, "budget"));
 
   Tokenizer bogo_tok(TokenizerFlavors::bogofilter());
-  auto plain = bogo_tok.tokenize(msg);
+  auto plain = spellings(bogo_tok.tokenize_ids(msg));
   EXPECT_TRUE(contains(plain, "budget"));
   EXPECT_TRUE(contains(plain, "meeting"));
   EXPECT_FALSE(contains(plain, "subject:budget"));
@@ -51,7 +58,7 @@ TEST(Flavors, UnprefixedHeadersRespectBodyMinLength) {
   email::Message msg =
       email::MessageBuilder().subject("RE of it").body("x\n").build();
   Tokenizer bogo_tok(TokenizerFlavors::bogofilter());
-  auto tokens = bogo_tok.tokenize(msg);
+  auto tokens = spellings(bogo_tok.tokenize_ids(msg));
   // 2-char header words are dropped when unprefixed (body min length 3).
   EXPECT_FALSE(contains(tokens, "re"));
   EXPECT_FALSE(contains(tokens, "of"));
@@ -60,7 +67,8 @@ TEST(Flavors, UnprefixedHeadersRespectBodyMinLength) {
 
 TEST(Flavors, BogofilterKeepsLongWordsWhole) {
   Tokenizer bogo_tok(TokenizerFlavors::bogofilter());
-  auto tokens = bogo_tok.tokenize_text("pneumonoultramicroscopic regular");
+  auto tokens =
+      spellings(bogo_tok.tokenize_text_ids("pneumonoultramicroscopic regular"));
   EXPECT_TRUE(contains(tokens, "pneumonoultramicroscopic"));  // 24 <= 30
   for (const auto& t : tokens) EXPECT_NE(t.rfind("skip:", 0), 0u);
 }
@@ -81,12 +89,12 @@ TEST(Flavors, BodyPoisonReachesHeaderEvidenceOnlyWhenUnprefixed) {
                                      : TokenizerFlavors::bogofilter();
     Tokenizer tok(opts);
     TokenDatabase db;
-    db.train_spam(unique_tokens(tok.tokenize(attack)), 10);
-    db.train_ham({"neutral", "filler", "words", "here"}, 10);
+    db.train_spam_ids(unique_token_ids(tok.tokenize_ids(attack)), 10);
+    db.train_ham_ids(ids({"neutral", "filler", "words", "here"}), 10);
     Classifier c;
     // Find the evidence score of the victim's subject token.
     auto subject_token = prefixed ? "subject:budget" : "budget";
-    double f = c.token_score(db, subject_token);
+    double f = c.token_score(db, token_id(subject_token));
     if (prefixed) {
       EXPECT_DOUBLE_EQ(f, 0.5) << "prefixed header token must be untouched";
     } else {

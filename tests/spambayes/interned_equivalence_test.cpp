@@ -2,12 +2,13 @@
 // representation (TokenIdSet + flat TokenDatabase + ScoreEngine) is
 // bit-identical to the string-keyed implementation it replaced, through
 // every scoring source: the memoized engine, the fresh source over one
-// database and over base + overlay, and the string form.
+// database and over base + overlay, and Filter::classify on a message.
 //
 // The reference implementation below is a verbatim port of the
 // pre-interning classifier/database (unordered_map<string, TokenCounts>,
-// string-sorted tie-break). Every comparison against it is EXPECT_EQ on
-// doubles — bitwise, not approximate.
+// string-sorted tie-break), with the string-keyed types it used. Every
+// comparison against it is EXPECT_EQ on doubles — bitwise, not
+// approximate.
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -21,13 +22,56 @@
 #include "eval/runner.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
+#include "support/token_ids.h"
 #include "util/random.h"
 #include "util/stats.h"
 
 namespace sbx::spambayes {
 namespace {
 
+using test::ids;
+using test::spellings;
+
 // --- reference (pre-interning) implementation ------------------------------
+
+/// A deduplicated token set sorted by spelling (the reference's message).
+using TokenSet = std::vector<std::string>;
+
+/// One token's contribution to a reference score.
+struct TokenEvidence {
+  std::string token;
+  double score = 0.5;
+  bool used = false;
+};
+
+/// The reference's scoring breakdown; evidence in input order.
+struct ScoreResult {
+  double score = 0.5;
+  double spam_evidence = 0.0;
+  double ham_evidence = 0.0;
+  std::size_t tokens_used = 0;
+  Verdict verdict = Verdict::unsure;
+  std::vector<TokenEvidence> evidence;
+};
+
+/// The reference's message: the spellings of `ids`, sorted.
+TokenSet spelling_set(const TokenIdSet& ids,
+                      const TokenInterner& interner = global_interner()) {
+  TokenSet out = spellings(ids, interner);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// `result` with its evidence reordered by spelling: the order of a
+/// reference score over the same message.
+ScoreIdResult in_spelling_order(ScoreIdResult result) {
+  const TokenInterner& interner = global_interner();
+  std::sort(result.evidence.begin(), result.evidence.end(),
+            [&](const TokenIdEvidence& a, const TokenIdEvidence& b) {
+              return interner.spelling(a.id) < interner.spelling(b.id);
+            });
+  return result;
+}
 
 struct RefDatabase {
   std::unordered_map<std::string, TokenCounts> counts;
@@ -133,6 +177,7 @@ ScoreResult ref_score(const RefDatabase& db, const TokenSet& tokens,
 struct Corpus {
   RefDatabase ref;
   Filter filter;
+  std::vector<email::Message> probes_messages;
   std::vector<TokenSet> probes_tokens;
   std::vector<TokenIdSet> probes_ids;
 
@@ -141,18 +186,18 @@ struct Corpus {
     const corpus::TrecLikeGenerator& gen = generator();
     util::Rng rng(seed);
     for (int i = 0; i < train_each; ++i) {
-      const TokenSet ham = filter.message_tokens(gen.generate_ham(rng));
-      const TokenSet spam = filter.message_tokens(gen.generate_spam(rng));
-      ref.train(ham, /*spam=*/false);
-      ref.train(spam, /*spam=*/true);
-      filter.train_ham_tokens(ham);
-      filter.train_spam_tokens(spam);
+      const TokenIdSet ham = filter.message_token_ids(gen.generate_ham(rng));
+      const TokenIdSet spam = filter.message_token_ids(gen.generate_spam(rng));
+      ref.train(spelling_set(ham), /*spam=*/false);
+      ref.train(spelling_set(spam), /*spam=*/true);
+      filter.train_ham_ids(ham);
+      filter.train_spam_ids(spam);
     }
     for (int i = 0; i < probes; ++i) {
-      const email::Message m =
-          i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
-      probes_tokens.push_back(filter.message_tokens(m));
-      probes_ids.push_back(filter.message_token_ids(m));
+      probes_messages.push_back(i % 2 == 0 ? gen.generate_ham(rng)
+                                           : gen.generate_spam(rng));
+      probes_ids.push_back(filter.message_token_ids(probes_messages.back()));
+      probes_tokens.push_back(spelling_set(probes_ids.back()));
     }
   }
 
@@ -162,29 +207,6 @@ struct Corpus {
   }
 };
 
-// --- tokenizer stream equivalence ------------------------------------------
-
-TEST(InternedEquivalence, TokenStreamsAreByteIdentical) {
-  const corpus::TrecLikeGenerator& gen = Corpus::generator();
-  const Tokenizer tok;
-  const TokenInterner& interner = global_interner();
-  util::Rng rng(5150);
-  for (int i = 0; i < 30; ++i) {
-    const email::Message msg =
-        i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
-    const TokenList strings = tok.tokenize(msg);
-    const TokenIdList ids = tok.tokenize_ids(msg);
-    ASSERT_EQ(strings.size(), ids.size()) << "message " << i;
-    for (std::size_t j = 0; j < strings.size(); ++j) {
-      EXPECT_EQ(interner.spelling(ids[j]), strings[j])
-          << "message " << i << " token " << j;
-    }
-    // And dedup commutes with interning.
-    EXPECT_EQ(intern_tokens(unique_tokens(strings)),
-              unique_token_ids(tok.tokenize_ids(msg)));
-  }
-}
-
 // --- classification equivalence --------------------------------------------
 
 TEST(InternedEquivalence, ScoresBitIdenticalToStringKeyedReference) {
@@ -193,33 +215,35 @@ TEST(InternedEquivalence, ScoresBitIdenticalToStringKeyedReference) {
   for (std::size_t i = 0; i < corpus.probes_tokens.size(); ++i) {
     const ScoreResult expected =
         ref_score(corpus.ref, corpus.probes_tokens[i], opts);
-    const ScoreResult via_strings =
-        corpus.filter.classify_tokens(corpus.probes_tokens[i]);
+    const ScoreIdResult via_message = in_spelling_order(
+        corpus.filter.classify(corpus.probes_messages[i]));
     const ScoreIdResult via_ids =
         corpus.filter.classify_ids(corpus.probes_ids[i]);
 
     // Bitwise equality on every aggregate, through both entry points.
-    EXPECT_EQ(expected.score, via_strings.score) << "probe " << i;
+    EXPECT_EQ(expected.score, via_message.score) << "probe " << i;
     EXPECT_EQ(expected.score, via_ids.score) << "probe " << i;
-    EXPECT_EQ(expected.spam_evidence, via_strings.spam_evidence);
+    EXPECT_EQ(expected.spam_evidence, via_message.spam_evidence);
     EXPECT_EQ(expected.spam_evidence, via_ids.spam_evidence);
-    EXPECT_EQ(expected.ham_evidence, via_strings.ham_evidence);
+    EXPECT_EQ(expected.ham_evidence, via_message.ham_evidence);
     EXPECT_EQ(expected.ham_evidence, via_ids.ham_evidence);
-    EXPECT_EQ(expected.tokens_used, via_strings.tokens_used);
+    EXPECT_EQ(expected.tokens_used, via_message.tokens_used);
     EXPECT_EQ(expected.tokens_used, via_ids.tokens_used);
-    EXPECT_EQ(expected.verdict, via_strings.verdict);
+    EXPECT_EQ(expected.verdict, via_message.verdict);
     EXPECT_EQ(expected.verdict, via_ids.verdict);
 
-    // Evidence equivalence: the string path preserves ordering and flags
-    // exactly; the id path selects the same delta(E) set.
-    ASSERT_EQ(expected.evidence.size(), via_strings.evidence.size());
+    // Evidence equivalence: the message path, put in spelling order,
+    // matches every entry and flag exactly; the id path selects the same
+    // delta(E) set.
+    ASSERT_EQ(expected.evidence.size(), via_message.evidence.size());
     const TokenInterner& interner = global_interner();
     std::vector<std::string> expected_used;
     std::vector<std::string> ids_used;
     for (std::size_t j = 0; j < expected.evidence.size(); ++j) {
-      EXPECT_EQ(expected.evidence[j].token, via_strings.evidence[j].token);
-      EXPECT_EQ(expected.evidence[j].score, via_strings.evidence[j].score);
-      EXPECT_EQ(expected.evidence[j].used, via_strings.evidence[j].used);
+      EXPECT_EQ(expected.evidence[j].token,
+                interner.spelling(via_message.evidence[j].id));
+      EXPECT_EQ(expected.evidence[j].score, via_message.evidence[j].score);
+      EXPECT_EQ(expected.evidence[j].used, via_message.evidence[j].used);
       if (expected.evidence[j].used) {
         expected_used.push_back(expected.evidence[j].token);
       }
@@ -280,13 +304,13 @@ TEST(InternedEquivalence, EverySourceMatchesTheReferenceBitwise) {
   // One training email carrying 200 tokens that share their first 8 bytes:
   // identical counts give identical distances, and the packed sort key
   // cannot order them, so selecting among them falls to full spellings.
-  TokenList tie_list;
+  TokenSet ties;
   for (int k = 0; k < 200; ++k) {
-    tie_list.push_back("tiebreakprefix-" + std::to_string(k));
+    ties.push_back("tiebreakprefix-" + std::to_string(k));
   }
-  const TokenSet ties = unique_tokens(tie_list);
+  std::sort(ties.begin(), ties.end());
   corpus.ref.train(ties, /*spam=*/true);
-  corpus.filter.train_spam_tokens(ties);
+  corpus.filter.train_spam_ids(ids(ties));
   const TokenDatabase& db = corpus.filter.database();
 
   // A 28-message per-user overlay, and the reference trained on the base
@@ -299,33 +323,39 @@ TEST(InternedEquivalence, EverySourceMatchesTheReferenceBitwise) {
     const email::Message m = spam ? Corpus::generator().generate_spam(rng)
                                   : Corpus::generator().generate_ham(rng);
     const auto copies = static_cast<std::uint32_t>(1 + i % 3);
-    merged.train(corpus.filter.message_tokens(m), spam, copies);
+    const TokenIdSet m_ids = corpus.filter.message_token_ids(m);
+    merged.train(spelling_set(m_ids), spam, copies);
     if (spam) {
-      overlay.train_spam_ids(corpus.filter.message_token_ids(m), copies);
+      overlay.train_spam_ids(m_ids, copies);
     } else {
-      overlay.train_ham_ids(corpus.filter.message_token_ids(m), copies);
+      overlay.train_ham_ids(m_ids, copies);
     }
   }
 
   // Probes: ordinary messages, the union of all of them (far more than
   // max_discriminators strong tokens) and a tie-heavy one.
+  const auto sorted_unique = [](TokenSet words) {
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+    return words;
+  };
   std::vector<TokenSet> probes = corpus.probes_tokens;
-  TokenList all;
+  TokenSet all;
   for (const TokenSet& p : corpus.probes_tokens) {
     all.insert(all.end(), p.begin(), p.end());
   }
-  probes.push_back(unique_tokens(all));
-  TokenList tie_probe = tie_list;
+  probes.push_back(sorted_unique(all));
+  TokenSet tie_probe = ties;
   tie_probe.insert(tie_probe.end(), corpus.probes_tokens[1].begin(),
                    corpus.probes_tokens[1].end());
-  probes.push_back(unique_tokens(tie_probe));
+  probes.push_back(sorted_unique(tie_probe));
 
-  std::vector<TokenIdList> ids(probes.size());
+  std::vector<TokenIdList> probe_ids(probes.size());
   std::vector<ScoreResult> expected;
   std::vector<ScoreResult> expected_merged;
   for (std::size_t i = 0; i < probes.size(); ++i) {
     for (const auto& t : probes[i]) {
-      ids[i].push_back(global_interner().intern(t));
+      probe_ids[i].push_back(global_interner().intern(t));
     }
     expected.push_back(ref_score(corpus.ref, probes[i], opts));
     expected_merged.push_back(ref_score(merged, probes[i], opts));
@@ -354,30 +384,24 @@ TEST(InternedEquivalence, EverySourceMatchesTheReferenceBitwise) {
   const Classifier& classifier = corpus.filter.classifier();
   ScoreEngine engine(opts);
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    // The string form: evidence in the input order, spellings included.
-    const ScoreResult via_strings = classifier.score(db, probes[i]);
-    ScoreIdResult as_ids;
-    as_ids.score = via_strings.score;
-    as_ids.spam_evidence = via_strings.spam_evidence;
-    as_ids.ham_evidence = via_strings.ham_evidence;
-    as_ids.tokens_used = via_strings.tokens_used;
-    as_ids.verdict = via_strings.verdict;
-    for (std::size_t j = 0; j < via_strings.evidence.size(); ++j) {
-      const TokenEvidence& ev = via_strings.evidence[j];
-      EXPECT_EQ(ev.token, probes[i][j]);
-      as_ids.evidence.push_back({ids[i][j], ev.score, ev.used});
+    // Filter::classify on the message, for the probes that are one;
+    // its evidence follows message_token_ids, so compare in spelling order.
+    if (i < corpus.probes_messages.size()) {
+      expect_reference_bits(
+          expected[i],
+          in_spelling_order(corpus.filter.classify(corpus.probes_messages[i])),
+          "message", i);
     }
-    expect_reference_bits(expected[i], as_ids, "string form", i);
     // The memoized source, cold and then warm.
-    expect_reference_bits(expected[i], engine.score_ids(db, ids[i]),
+    expect_reference_bits(expected[i], engine.score_ids(db, probe_ids[i]),
                           "memo cold", i);
-    expect_reference_bits(expected[i], engine.score_ids(db, ids[i]),
+    expect_reference_bits(expected[i], engine.score_ids(db, probe_ids[i]),
                           "memo warm", i);
     // The fresh source over one database and over base + overlay.
-    expect_reference_bits(expected[i], classifier.score_ids(db, ids[i]),
+    expect_reference_bits(expected[i], classifier.score_ids(db, probe_ids[i]),
                           "fresh", i);
     expect_reference_bits(expected_merged[i],
-                          classifier.score_ids(db, overlay, ids[i]),
+                          classifier.score_ids(db, overlay, probe_ids[i]),
                           "fresh base+overlay", i);
   }
   // Both sources through the batch call the serving frontend makes.
@@ -388,13 +412,13 @@ TEST(InternedEquivalence, EverySourceMatchesTheReferenceBitwise) {
     const char* what = extra == nullptr ? "memo batch" : "overlay batch";
     std::size_t seen = 0;
     engine.score_batch(
-        db, extra, ids.size(),
-        [&](std::size_t i) -> const TokenIdList& { return ids[i]; },
+        db, extra, probe_ids.size(),
+        [&](std::size_t i) -> const TokenIdList& { return probe_ids[i]; },
         [&](std::size_t i, const BatchScore& scored) {
           ++seen;
           expect_reference_bits(want[i], to_result(scored), what, i);
         });
-    EXPECT_EQ(seen, ids.size());
+    EXPECT_EQ(seen, probe_ids.size());
   }
 }
 
@@ -411,53 +435,6 @@ TEST(InternedEquivalence, ScoreIsIndependentOfIdOrder) {
 }
 
 // --- training-state equivalence --------------------------------------------
-
-TEST(InternedEquivalence, TrainUntrainCountsMatchStringPath) {
-  const corpus::TrecLikeGenerator& gen = Corpus::generator();
-  util::Rng rng(777);
-  Filter via_strings;
-  Filter via_ids;
-  std::vector<TokenSet> sets;
-  std::vector<TokenIdSet> id_sets;
-  for (int i = 0; i < 40; ++i) {
-    const email::Message m =
-        i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
-    sets.push_back(via_strings.message_tokens(m));
-    id_sets.push_back(via_strings.message_token_ids(m));
-  }
-  for (int i = 0; i < 40; ++i) {
-    const auto copies = static_cast<std::uint32_t>(1 + i % 3);
-    if (i % 2 == 0) {
-      via_strings.train_ham_tokens(sets[i], copies);
-      via_ids.train_ham_ids(id_sets[i], copies);
-    } else {
-      via_strings.train_spam_tokens(sets[i], copies);
-      via_ids.train_spam_ids(id_sets[i], copies);
-    }
-  }
-  auto expect_equal_databases = [&] {
-    const TokenDatabase& a = via_strings.database();
-    const TokenDatabase& b = via_ids.database();
-    EXPECT_EQ(a.spam_count(), b.spam_count());
-    EXPECT_EQ(a.ham_count(), b.ham_count());
-    EXPECT_EQ(a.vocabulary_size(), b.vocabulary_size());
-    EXPECT_EQ(a.tokens(), b.tokens());
-  };
-  expect_equal_databases();
-  // Untrain half of the messages again, through the opposite entry points
-  // to cross-check the wrappers.
-  for (int i = 0; i < 20; ++i) {
-    const auto copies = static_cast<std::uint32_t>(1 + i % 3);
-    if (i % 2 == 0) {
-      via_strings.untrain_ham_ids(id_sets[i], copies);
-      via_ids.untrain_ham_tokens(sets[i], copies);
-    } else {
-      via_strings.untrain_spam_ids(id_sets[i], copies);
-      via_ids.untrain_spam_tokens(sets[i], copies);
-    }
-  }
-  expect_equal_databases();
-}
 
 TEST(InternedEquivalence, SaveLoadSaveIsByteStable) {
   Corpus corpus(50, 0, 555);
@@ -492,11 +469,15 @@ TEST(InternedEquivalence, ScoresBitIdenticalAtOneAndFourThreads) {
     messages.push_back(i % 2 == 0 ? gen.generate_ham(rng)
                                   : gen.generate_spam(rng));
   }
+  // The reference spells them through its own interner, so the global
+  // one first sees these tokens from the trials.
   std::vector<double> expected;
   const Tokenizer tok(corpus.filter.options().tokenizer);
+  TokenInterner ref_interner;
   for (const auto& m : messages) {
-    expected.push_back(
-        ref_score(corpus.ref, unique_tokens(tok.tokenize(m)), opts).score);
+    const TokenSet tokens = spelling_set(
+        unique_token_ids(tok.tokenize_ids(m, ref_interner)), ref_interner);
+    expected.push_back(ref_score(corpus.ref, tokens, opts).score);
   }
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

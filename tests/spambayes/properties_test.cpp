@@ -11,10 +11,15 @@
 #include "email/mbox.h"
 #include "email/rfc2822.h"
 #include "spambayes/filter.h"
+#include "support/token_ids.h"
 #include "util/random.h"
 
 namespace sbx::spambayes {
 namespace {
+
+using test::ids;
+using test::spellings;
+using test::token_id;
 
 // --- class symmetry -------------------------------------------------------
 //
@@ -27,30 +32,30 @@ TEST_P(SymmetrySweep, MirroredTrainingMirrorsScore) {
   util::Rng rng(GetParam());
   TokenDatabase db, mirrored;
   for (int i = 0; i < 60; ++i) {
-    TokenSet tokens;
+    std::vector<std::string> words;
     std::size_t n = 1 + rng.index(12);
     for (std::size_t j = 0; j < n; ++j) {
-      tokens.push_back("w" + std::to_string(rng.index(50)));
+      words.push_back("w" + std::to_string(rng.index(50)));
     }
-    tokens = unique_tokens(tokens);
+    const TokenIdSet tokens = ids(words);
     if (rng.bernoulli(0.5)) {
-      db.train_spam(tokens);
-      mirrored.train_ham(tokens);
+      db.train_spam_ids(tokens);
+      mirrored.train_ham_ids(tokens);
     } else {
-      db.train_ham(tokens);
-      mirrored.train_spam(tokens);
+      db.train_ham_ids(tokens);
+      mirrored.train_spam_ids(tokens);
     }
   }
   Classifier c;
   for (int probe = 0; probe < 10; ++probe) {
-    TokenSet msg;
+    std::vector<std::string> words;
     std::size_t n = 1 + rng.index(15);
     for (std::size_t j = 0; j < n; ++j) {
-      msg.push_back("w" + std::to_string(rng.index(60)));
+      words.push_back("w" + std::to_string(rng.index(60)));
     }
-    msg = unique_tokens(msg);
-    const double i1 = c.score(db, msg).score;
-    const double i2 = c.score(mirrored, msg).score;
+    const TokenIdSet msg = ids(words);
+    const double i1 = c.score_ids(db, msg).score;
+    const double i2 = c.score_ids(mirrored, msg).score;
     EXPECT_NEAR(i1, 1.0 - i2, 1e-9);
   }
 }
@@ -71,7 +76,8 @@ TEST_P(TokenizerFuzz, ArbitraryBytesNeverCrashOrViolateBounds) {
     for (std::size_t i = 0; i < len; ++i) {
       text.push_back(static_cast<char>(rng.uniform_int(1, 255)));
     }
-    TokenList tokens = tok.tokenize_text(text);
+    const std::vector<std::string> tokens =
+        spellings(tok.tokenize_text_ids(text));
     for (const auto& t : tokens) {
       ASSERT_FALSE(t.empty());
       // Plain tokens respect the length window; pseudo-tokens carry their
@@ -98,26 +104,26 @@ TEST_P(SerializationSweep, RandomDatabaseSurvivesRoundTrip) {
   util::Rng rng(GetParam());
   TokenDatabase db;
   for (int i = 0; i < 100; ++i) {
-    TokenSet tokens;
+    std::vector<std::string> words;
     std::size_t n = 1 + rng.index(8);
     for (std::size_t j = 0; j < n; ++j) {
       switch (rng.index(3)) {
         case 0:
-          tokens.push_back("word" + std::to_string(rng.index(200)));
+          words.push_back("word" + std::to_string(rng.index(200)));
           break;
         case 1:
-          tokens.push_back("skip:x " + std::to_string(10 * rng.index(9)));
+          words.push_back("skip:x " + std::to_string(10 * rng.index(9)));
           break;
         default:
-          tokens.push_back("url:host" + std::to_string(rng.index(40)));
+          words.push_back("url:host" + std::to_string(rng.index(40)));
       }
     }
-    tokens = unique_tokens(tokens);
+    const TokenIdSet tokens = ids(words);
     auto copies = static_cast<std::uint32_t>(1 + rng.index(3));
     if (rng.bernoulli(0.5)) {
-      db.train_spam(tokens, copies);
+      db.train_spam_ids(tokens, copies);
     } else {
-      db.train_ham(tokens, copies);
+      db.train_ham_ids(tokens, copies);
     }
   }
   std::stringstream ss;
@@ -127,13 +133,14 @@ TEST_P(SerializationSweep, RandomDatabaseSurvivesRoundTrip) {
   ASSERT_EQ(loaded.ham_count(), db.ham_count());
   ASSERT_EQ(loaded.vocabulary_size(), db.vocabulary_size());
   for (const auto& [token, counts] : db.tokens()) {
-    EXPECT_EQ(loaded.counts(token).spam, counts.spam) << token;
-    EXPECT_EQ(loaded.counts(token).ham, counts.ham) << token;
+    EXPECT_EQ(loaded.counts(token_id(token)).spam, counts.spam) << token;
+    EXPECT_EQ(loaded.counts(token_id(token)).ham, counts.ham) << token;
   }
   // And classification through a filter is bit-identical.
   Classifier c;
-  TokenSet probe = {"word1", "word5", "url:host3", "never-seen"};
-  EXPECT_DOUBLE_EQ(c.score(db, probe).score, c.score(loaded, probe).score);
+  const TokenIdSet probe = ids({"word1", "word5", "url:host3", "never-seen"});
+  EXPECT_DOUBLE_EQ(c.score_ids(db, probe).score,
+                   c.score_ids(loaded, probe).score);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializationSweep,
@@ -154,8 +161,8 @@ TEST(PipelineStability, MboxRoundTripPreservesTokenization) {
   std::vector<email::Message> reloaded = email::parse_mbox(mbox);
   ASSERT_EQ(reloaded.size(), originals.size());
   for (std::size_t i = 0; i < originals.size(); ++i) {
-    EXPECT_EQ(unique_tokens(tok.tokenize(originals[i])),
-              unique_tokens(tok.tokenize(reloaded[i])))
+    EXPECT_EQ(unique_token_ids(tok.tokenize_ids(originals[i])),
+              unique_token_ids(tok.tokenize_ids(reloaded[i])))
         << "message " << i;
   }
 }

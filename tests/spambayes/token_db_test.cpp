@@ -5,98 +5,103 @@
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "support/token_ids.h"
 #include "util/error.h"
 #include "util/random.h"
 
 namespace sbx::spambayes {
 namespace {
 
+using test::ids;
+using test::token_id;
+
 TEST(TokenDatabase, CountsPresencePerEmail) {
   TokenDatabase db;
-  db.train_spam({"buy", "now"});
-  db.train_spam({"buy"});
-  db.train_ham({"meeting", "now"});
+  db.train_spam_ids(ids({"buy", "now"}));
+  db.train_spam_ids(ids({"buy"}));
+  db.train_ham_ids(ids({"meeting", "now"}));
   EXPECT_EQ(db.spam_count(), 2u);
   EXPECT_EQ(db.ham_count(), 1u);
-  EXPECT_EQ(db.counts("buy").spam, 2u);
-  EXPECT_EQ(db.counts("buy").ham, 0u);
-  EXPECT_EQ(db.counts("now").spam, 1u);
-  EXPECT_EQ(db.counts("now").ham, 1u);
-  EXPECT_EQ(db.counts("unseen").spam, 0u);
-  EXPECT_EQ(db.counts("unseen").ham, 0u);
+  EXPECT_EQ(db.counts(token_id("buy")).spam, 2u);
+  EXPECT_EQ(db.counts(token_id("buy")).ham, 0u);
+  EXPECT_EQ(db.counts(token_id("now")).spam, 1u);
+  EXPECT_EQ(db.counts(token_id("now")).ham, 1u);
+  EXPECT_EQ(db.counts(token_id("unseen")).spam, 0u);
+  EXPECT_EQ(db.counts(token_id("unseen")).ham, 0u);
   EXPECT_EQ(db.vocabulary_size(), 3u);
 }
 
 TEST(TokenDatabase, BatchTrainEqualsRepeatedTrain) {
-  TokenSet tokens = {"alpha", "beta", "gamma"};
+  const TokenIdSet tokens = ids({"alpha", "beta", "gamma"});
   TokenDatabase repeated;
-  for (int i = 0; i < 57; ++i) repeated.train_spam(tokens);
+  for (int i = 0; i < 57; ++i) repeated.train_spam_ids(tokens);
   TokenDatabase batched;
-  batched.train_spam(tokens, 57);
+  batched.train_spam_ids(tokens, 57);
   EXPECT_EQ(batched.spam_count(), repeated.spam_count());
-  for (const auto& t : tokens) {
+  for (TokenId t : tokens) {
     EXPECT_EQ(batched.counts(t).spam, repeated.counts(t).spam);
   }
 }
 
 TEST(TokenDatabase, ZeroCopiesIsNoop) {
   TokenDatabase db;
-  db.train_spam({"x"}, 0);
+  db.train_spam_ids(ids({"x"}), 0);
   EXPECT_EQ(db.spam_count(), 0u);
   EXPECT_EQ(db.vocabulary_size(), 0u);
 }
 
 TEST(TokenDatabase, UntrainExactlyReversesTrain) {
   TokenDatabase db;
-  db.train_ham({"keep", "shared"});
-  db.train_spam({"shared", "junk"});
+  db.train_ham_ids(ids({"keep", "shared"}));
+  db.train_spam_ids(ids({"shared", "junk"}));
 
   TokenDatabase snapshot = db;
-  db.train_spam({"poison", "shared"}, 5);
-  db.untrain_spam({"poison", "shared"}, 5);
+  db.train_spam_ids(ids({"poison", "shared"}), 5);
+  db.untrain_spam_ids(ids({"poison", "shared"}), 5);
 
   EXPECT_EQ(db.spam_count(), snapshot.spam_count());
   EXPECT_EQ(db.ham_count(), snapshot.ham_count());
   EXPECT_EQ(db.vocabulary_size(), snapshot.vocabulary_size());
   for (const auto& [token, counts] : snapshot.tokens()) {
-    EXPECT_EQ(db.counts(token).spam, counts.spam) << token;
-    EXPECT_EQ(db.counts(token).ham, counts.ham) << token;
+    EXPECT_EQ(db.counts(token_id(token)).spam, counts.spam) << token;
+    EXPECT_EQ(db.counts(token_id(token)).ham, counts.ham) << token;
   }
   // "poison" was fully removed, not left at zero.
-  EXPECT_EQ(db.counts("poison").spam, 0u);
+  EXPECT_EQ(db.counts(token_id("poison")).spam, 0u);
 }
 
 TEST(TokenDatabase, UntrainUnknownThrows) {
   TokenDatabase db;
-  db.train_spam({"known"});
-  EXPECT_THROW(db.untrain_spam({"unknown"}), InvalidArgument);
-  EXPECT_THROW(db.untrain_spam({"known"}, 2), InvalidArgument);
-  EXPECT_THROW(db.untrain_ham({"known"}), InvalidArgument);
+  db.train_spam_ids(ids({"known"}));
+  EXPECT_THROW(db.untrain_spam_ids(ids({"unknown"})), InvalidArgument);
+  EXPECT_THROW(db.untrain_spam_ids(ids({"known"}), 2), InvalidArgument);
+  EXPECT_THROW(db.untrain_ham_ids(ids({"known"})), InvalidArgument);
   TokenDatabase empty;
-  EXPECT_THROW(empty.untrain_spam({"x"}), InvalidArgument);
+  EXPECT_THROW(empty.untrain_spam_ids(ids({"x"})), InvalidArgument);
 }
 
 TEST(TokenDatabase, TrainThatWouldWrapACountThrowsAndChangesNothing) {
   // copies reaches add() straight from a client's TrainRequest: a count
   // that would pass 2^32 - 1 must be refused before anything moves.
   TokenDatabase db;
-  db.train_ham({"alpha", "beta"}, UINT32_MAX - 1);
+  db.train_ham_ids(ids({"alpha", "beta"}), UINT32_MAX - 1);
   const std::uint64_t gen = db.generation();
   const auto before = db.tokens();
-  EXPECT_THROW(db.train_ham({"alpha", "gamma"}, 2), InvalidArgument);
+  EXPECT_THROW(db.train_ham_ids(ids({"alpha", "gamma"}), 2), InvalidArgument);
   EXPECT_EQ(db.generation(), gen);
   EXPECT_EQ(db.tokens(), before);
   EXPECT_EQ(db.ham_count(), UINT32_MAX - 1);
   EXPECT_EQ(db.vocabulary_size(), 2u);
   // Exactly to the limit is fine.
-  db.train_ham({"alpha"}, 1);
-  EXPECT_EQ(db.counts("alpha").ham, UINT32_MAX);
+  db.train_ham_ids(ids({"alpha"}), 1);
+  EXPECT_EQ(db.counts(token_id("alpha")).ham, UINT32_MAX);
   EXPECT_EQ(db.ham_count(), UINT32_MAX);
 
   // A per-token count can exceed its class total in a loaded database;
@@ -104,10 +109,10 @@ TEST(TokenDatabase, TrainThatWouldWrapACountThrowsAndChangesNothing) {
   std::istringstream in("SBXDB 1\n0 0\n4294967295 0 alpha\n");
   TokenDatabase loaded = TokenDatabase::load(in);
   const std::uint64_t loaded_gen = loaded.generation();
-  EXPECT_THROW(loaded.train_spam({"alpha", "beta"}), InvalidArgument);
+  EXPECT_THROW(loaded.train_spam_ids(ids({"alpha", "beta"})), InvalidArgument);
   EXPECT_EQ(loaded.generation(), loaded_gen);
   EXPECT_EQ(loaded.spam_count(), 0u);
-  EXPECT_EQ(loaded.counts("beta").spam, 0u);
+  EXPECT_EQ(loaded.counts(token_id("beta")).spam, 0u);
   EXPECT_EQ(loaded.vocabulary_size(), 1u);
 }
 
@@ -117,13 +122,13 @@ TEST(TokenDatabase, TrainAfterAnUntrainChecksEveryTokenCount) {
   // only ever trained: here nspam = 0 while beta.spam = 1. A train that
   // passes the class-total check must still refuse to wrap beta.
   TokenDatabase db;
-  db.train_spam({"alpha", "beta"});
-  db.untrain_spam({"alpha"});
+  db.train_spam_ids(ids({"alpha", "beta"}));
+  db.untrain_spam_ids(ids({"alpha"}));
   ASSERT_EQ(db.spam_count(), 0u);
-  ASSERT_EQ(db.counts("beta").spam, 1u);
+  ASSERT_EQ(db.counts(token_id("beta")).spam, 1u);
   const std::uint64_t gen = db.generation();
   const auto before = db.tokens();
-  EXPECT_THROW(db.train_spam({"beta"}, UINT32_MAX), InvalidArgument);
+  EXPECT_THROW(db.train_spam_ids(ids({"beta"}), UINT32_MAX), InvalidArgument);
   EXPECT_EQ(db.generation(), gen);
   EXPECT_EQ(db.tokens(), before);
   EXPECT_EQ(db.spam_count(), 0u);
@@ -172,7 +177,7 @@ TEST(TokenDatabase, MergeThatWouldWrapACountThrowsAndChangesNothing) {
   // merge() gets the same check-then-change pass as training: class totals
   // first, then every token count; a wrap anywhere changes nothing.
   TokenDatabase db;
-  db.train_ham({"alpha", "beta"}, UINT32_MAX - 1);
+  db.train_ham_ids(ids({"alpha", "beta"}), UINT32_MAX - 1);
   const auto unchanged = [&db, gen = db.generation(), before = db.tokens()] {
     EXPECT_EQ(db.generation(), gen);
     EXPECT_EQ(db.tokens(), before);
@@ -182,7 +187,7 @@ TEST(TokenDatabase, MergeThatWouldWrapACountThrowsAndChangesNothing) {
   };
 
   TokenDatabase class_total;  // wraps nham only
-  class_total.train_ham({"gamma"}, 2);
+  class_total.train_ham_ids(ids({"gamma"}), 2);
   EXPECT_THROW(db.merge(class_total), InvalidArgument);
   unchanged();
 
@@ -193,36 +198,36 @@ TEST(TokenDatabase, MergeThatWouldWrapACountThrowsAndChangesNothing) {
   const TokenDatabase token_count = TokenDatabase::load(in);
   EXPECT_THROW(db.merge(token_count), InvalidArgument);
   unchanged();
-  EXPECT_EQ(db.counts("gamma").spam, 0u);
+  EXPECT_EQ(db.counts(token_id("gamma")).spam, 0u);
 
   // Exactly to the limit is fine.
   TokenDatabase fits;
-  fits.train_ham({"alpha", "gamma"}, 1);
+  fits.train_ham_ids(ids({"alpha", "gamma"}), 1);
   db.merge(fits);
-  EXPECT_EQ(db.counts("alpha").ham, UINT32_MAX);
-  EXPECT_EQ(db.counts("gamma").ham, 1u);
+  EXPECT_EQ(db.counts(token_id("alpha")).ham, UINT32_MAX);
+  EXPECT_EQ(db.counts(token_id("gamma")).ham, 1u);
   EXPECT_EQ(db.ham_count(), UINT32_MAX);
   EXPECT_EQ(db.vocabulary_size(), 3u);
 }
 
 TEST(TokenDatabase, MergeAddsCounts) {
   TokenDatabase a, b;
-  a.train_spam({"x", "y"});
-  b.train_spam({"y", "z"}, 2);
-  b.train_ham({"x"});
+  a.train_spam_ids(ids({"x", "y"}));
+  b.train_spam_ids(ids({"y", "z"}), 2);
+  b.train_ham_ids(ids({"x"}));
   a.merge(b);
   EXPECT_EQ(a.spam_count(), 3u);
   EXPECT_EQ(a.ham_count(), 1u);
-  EXPECT_EQ(a.counts("y").spam, 3u);
-  EXPECT_EQ(a.counts("x").spam, 1u);
-  EXPECT_EQ(a.counts("x").ham, 1u);
-  EXPECT_EQ(a.counts("z").spam, 2u);
+  EXPECT_EQ(a.counts(token_id("y")).spam, 3u);
+  EXPECT_EQ(a.counts(token_id("x")).spam, 1u);
+  EXPECT_EQ(a.counts(token_id("x")).ham, 1u);
+  EXPECT_EQ(a.counts(token_id("z")).spam, 2u);
 }
 
 TEST(TokenDatabase, SerializationRoundTrip) {
   TokenDatabase db;
-  db.train_spam({"buy", "skip:x 20", "url:pills"});
-  db.train_ham({"meeting", "skip:x 20"}, 3);
+  db.train_spam_ids(ids({"buy", "skip:x 20", "url:pills"}));
+  db.train_ham_ids(ids({"meeting", "skip:x 20"}), 3);
 
   std::stringstream ss;
   db.save(ss);
@@ -232,9 +237,9 @@ TEST(TokenDatabase, SerializationRoundTrip) {
   EXPECT_EQ(loaded.ham_count(), db.ham_count());
   EXPECT_EQ(loaded.vocabulary_size(), db.vocabulary_size());
   // Tokens containing spaces survive (skip tokens embed a space).
-  EXPECT_EQ(loaded.counts("skip:x 20").ham, 3u);
-  EXPECT_EQ(loaded.counts("skip:x 20").spam, 1u);
-  EXPECT_EQ(loaded.counts("url:pills").spam, 1u);
+  EXPECT_EQ(loaded.counts(token_id("skip:x 20")).ham, 3u);
+  EXPECT_EQ(loaded.counts(token_id("skip:x 20")).spam, 1u);
+  EXPECT_EQ(loaded.counts(token_id("url:pills")).spam, 1u);
 }
 
 TEST(TokenDatabase, LoadRejectsMalformedInput) {
@@ -344,11 +349,11 @@ TEST(TokenDatabase, MergeSharesLeavesItHasNoCountsInAndSelfMergeDoubles) {
 
 TEST(TokenDatabase, FileRoundTrip) {
   TokenDatabase db;
-  db.train_spam({"persisted"});
+  db.train_spam_ids(ids({"persisted"}));
   auto path = std::filesystem::temp_directory_path() / "sbx_tokendb_test.db";
   db.save_file(path.string());
   TokenDatabase loaded = TokenDatabase::load_file(path.string());
-  EXPECT_EQ(loaded.counts("persisted").spam, 1u);
+  EXPECT_EQ(loaded.counts(token_id("persisted")).spam, 1u);
   std::filesystem::remove(path);
   EXPECT_THROW(TokenDatabase::load_file("/nonexistent/db"), IoError);
 }
@@ -358,20 +363,20 @@ TEST(TokenDatabase, RandomizedTrainUntrainInverse) {
   // reversal restores the empty database.
   util::Rng rng(99);
   TokenDatabase db;
-  std::vector<std::tuple<TokenSet, std::uint32_t, bool>> ops;
+  std::vector<std::tuple<TokenIdSet, std::uint32_t, bool>> ops;
   for (int i = 0; i < 200; ++i) {
-    TokenSet tokens;
+    std::vector<std::string> words;
     std::size_t n = 1 + rng.index(5);
     for (std::size_t j = 0; j < n; ++j) {
-      tokens.push_back("tok" + std::to_string(rng.index(30)));
+      words.push_back("tok" + std::to_string(rng.index(30)));
     }
-    tokens = unique_tokens(tokens);
+    TokenIdSet tokens = ids(words);
     auto copies = static_cast<std::uint32_t>(1 + rng.index(4));
     bool spam = rng.bernoulli(0.5);
     if (spam) {
-      db.train_spam(tokens, copies);
+      db.train_spam_ids(tokens, copies);
     } else {
-      db.train_ham(tokens, copies);
+      db.train_ham_ids(tokens, copies);
     }
     ops.emplace_back(std::move(tokens), copies, spam);
   }
@@ -379,9 +384,9 @@ TEST(TokenDatabase, RandomizedTrainUntrainInverse) {
   rng.shuffle(ops);
   for (const auto& [tokens, copies, spam] : ops) {
     if (spam) {
-      db.untrain_spam(tokens, copies);
+      db.untrain_spam_ids(tokens, copies);
     } else {
-      db.untrain_ham(tokens, copies);
+      db.untrain_ham_ids(tokens, copies);
     }
   }
   EXPECT_EQ(db.spam_count(), 0u);

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,19 +14,25 @@
 #include "email/builder.h"
 #include "email/mime.h"
 #include "email/rfc2822.h"
+#include "support/token_ids.h"
 #include "util/random.h"
 #include "util/strings.h"
 
 namespace sbx::spambayes {
 namespace {
 
-bool contains(const TokenList& tokens, const std::string& t) {
+using test::spellings;
+
+/// A token stream or set, spelled out.
+using Words = std::vector<std::string>;
+
+bool contains(const Words& tokens, const std::string& t) {
   return std::find(tokens.begin(), tokens.end(), t) != tokens.end();
 }
 
 TEST(Tokenizer, BasicWordsLowercased) {
   Tokenizer tok;
-  auto tokens = tok.tokenize_text("Hello World FOO bar");
+  auto tokens = spellings(tok.tokenize_text_ids("Hello World FOO bar"));
   EXPECT_TRUE(contains(tokens, "hello"));
   EXPECT_TRUE(contains(tokens, "world"));
   EXPECT_TRUE(contains(tokens, "foo"));
@@ -34,7 +41,7 @@ TEST(Tokenizer, BasicWordsLowercased) {
 
 TEST(Tokenizer, ShortWordsDropped) {
   Tokenizer tok;
-  auto tokens = tok.tokenize_text("I am ok yes");
+  auto tokens = spellings(tok.tokenize_text_ids("I am ok yes"));
   EXPECT_FALSE(contains(tokens, "i"));
   EXPECT_FALSE(contains(tokens, "am"));
   EXPECT_FALSE(contains(tokens, "ok"));
@@ -43,7 +50,8 @@ TEST(Tokenizer, ShortWordsDropped) {
 
 TEST(Tokenizer, PunctuationStripped) {
   Tokenizer tok;
-  auto tokens = tok.tokenize_text("(hello), \"world\"... [foo]?");
+  auto tokens =
+      spellings(tok.tokenize_text_ids("(hello), \"world\"... [foo]?"));
   EXPECT_TRUE(contains(tokens, "hello"));
   EXPECT_TRUE(contains(tokens, "world"));
   EXPECT_TRUE(contains(tokens, "foo"));
@@ -52,7 +60,7 @@ TEST(Tokenizer, PunctuationStripped) {
 TEST(Tokenizer, KeepsSpamSignificantCharacters) {
   // SpamBayes deliberately keeps $ and ! because they are spam evidence.
   Tokenizer tok;
-  auto tokens = tok.tokenize_text("win $1000 now!!! don't");
+  auto tokens = spellings(tok.tokenize_text_ids("win $1000 now!!! don't"));
   EXPECT_TRUE(contains(tokens, "$1000"));
   EXPECT_TRUE(contains(tokens, "now!!!"));
   EXPECT_TRUE(contains(tokens, "don't"));
@@ -60,8 +68,8 @@ TEST(Tokenizer, KeepsSpamSignificantCharacters) {
 
 TEST(Tokenizer, LongWordsBecomeSkipTokens) {
   Tokenizer tok;
-  auto tokens =
-      tok.tokenize_text("supercalifragilisticexpialidocious regular");
+  auto tokens = spellings(
+      tok.tokenize_text_ids("supercalifragilisticexpialidocious regular"));
   // 34 chars -> "skip:s 30".
   EXPECT_TRUE(contains(tokens, "skip:s 30"));
   EXPECT_TRUE(contains(tokens, "regular"));
@@ -71,7 +79,8 @@ TEST(Tokenizer, LongWordsBecomeSkipTokens) {
 
 TEST(Tokenizer, LongWordsSplitOnPunctuationIntoPieces) {
   Tokenizer tok;
-  auto tokens = tok.tokenize_text("first-second-third-fourth-fifth");
+  auto tokens =
+      spellings(tok.tokenize_text_ids("first-second-third-fourth-fifth"));
   // 31 chars total: skip token plus embedded pieces.
   EXPECT_TRUE(contains(tokens, "skip:f 30"));
   EXPECT_TRUE(contains(tokens, "first"));
@@ -83,7 +92,7 @@ TEST(Tokenizer, SkipTokensCanBeDisabled) {
   TokenizerOptions opts;
   opts.generate_skip_tokens = false;
   Tokenizer tok(opts);
-  auto tokens = tok.tokenize_text("abcdefghijklmnopqrstuvwxyz");
+  auto tokens = spellings(tok.tokenize_text_ids("abcdefghijklmnopqrstuvwxyz"));
   for (const auto& t : tokens) {
     EXPECT_NE(t.rfind("skip:", 0), 0u) << t;
   }
@@ -91,8 +100,8 @@ TEST(Tokenizer, SkipTokensCanBeDisabled) {
 
 TEST(Tokenizer, UrlsCrunchedIntoComponents) {
   Tokenizer tok;
-  auto tokens =
-      tok.tokenize_text("visit http://pills.offers.example/buy/cheap now");
+  auto tokens = spellings(
+      tok.tokenize_text_ids("visit http://pills.offers.example/buy/cheap now"));
   EXPECT_TRUE(contains(tokens, "url:http"));
   EXPECT_TRUE(contains(tokens, "url:pills"));
   EXPECT_TRUE(contains(tokens, "url:offers"));
@@ -104,7 +113,8 @@ TEST(Tokenizer, UrlsCrunchedIntoComponents) {
 
 TEST(Tokenizer, HttpsAndWwwUrls) {
   Tokenizer tok;
-  auto tokens = tok.tokenize_text("https://secure.example www.plain.example");
+  auto tokens = spellings(
+      tok.tokenize_text_ids("https://secure.example www.plain.example"));
   EXPECT_TRUE(contains(tokens, "url:https"));
   EXPECT_TRUE(contains(tokens, "url:secure"));
   EXPECT_TRUE(contains(tokens, "url:www"));
@@ -115,7 +125,7 @@ TEST(Tokenizer, UrlTokenizationCanBeDisabled) {
   TokenizerOptions opts;
   opts.tokenize_urls = false;
   Tokenizer tok(opts);
-  auto tokens = tok.tokenize_text("http://host.example/path");
+  auto tokens = spellings(tok.tokenize_text_ids("http://host.example/path"));
   for (const auto& t : tokens) EXPECT_NE(t.rfind("url:", 0), 0u) << t;
 }
 
@@ -127,7 +137,7 @@ TEST(Tokenizer, HeaderTokensPrefixed) {
                          .body("body words here\n")
                          .build();
   Tokenizer tok;
-  auto tokens = tok.tokenize(m);
+  auto tokens = spellings(tok.tokenize_ids(m));
   EXPECT_TRUE(contains(tokens, "subject:quarterly"));
   EXPECT_TRUE(contains(tokens, "subject:budget"));
   EXPECT_TRUE(contains(tokens, "subject:review"));
@@ -141,7 +151,7 @@ TEST(Tokenizer, ShortHeaderWordsKept) {
   email::Message m =
       email::MessageBuilder().subject("RE: it").body("x\n").build();
   Tokenizer tok;
-  auto tokens = tok.tokenize(m);
+  auto tokens = spellings(tok.tokenize_ids(m));
   // Header tokens keep words of length >= 2 ("re" matters for subjects).
   EXPECT_TRUE(contains(tokens, "subject:re"));
   EXPECT_TRUE(contains(tokens, "subject:it"));
@@ -153,7 +163,7 @@ TEST(Tokenizer, HeaderTokenizationCanBeDisabled) {
   email::Message m =
       email::MessageBuilder().subject("secret").body("visible\n").build();
   Tokenizer tok(opts);
-  auto tokens = tok.tokenize(m);
+  auto tokens = spellings(tok.tokenize_ids(m));
   EXPECT_FALSE(contains(tokens, "subject:secret"));
   EXPECT_TRUE(contains(tokens, "visible"));
 }
@@ -163,7 +173,7 @@ TEST(Tokenizer, EmptyHeaderMessageYieldsOnlyBodyTokens) {
   email::Message m;
   m.set_body("alpha beta gamma\n");
   Tokenizer tok;
-  auto tokens = tok.tokenize(m);
+  auto tokens = spellings(tok.tokenize_ids(m));
   EXPECT_EQ(tokens.size(), 3u);
   for (const auto& t : tokens) {
     EXPECT_EQ(t.find(':'), std::string::npos) << t;
@@ -175,33 +185,30 @@ TEST(Tokenizer, DecodesMimeBeforeTokenizing) {
   m.add_header("Content-Transfer-Encoding", "base64");
   m.set_body(email::encode_base64("hidden payload words"));
   Tokenizer tok;
-  auto tokens = tok.tokenize(m);
+  auto tokens = spellings(tok.tokenize_ids(m));
   EXPECT_TRUE(contains(tokens, "hidden"));
   EXPECT_TRUE(contains(tokens, "payload"));
 }
 
 TEST(Tokenizer, EmptyInputs) {
   Tokenizer tok;
-  EXPECT_TRUE(tok.tokenize_text("").empty());
-  EXPECT_TRUE(tok.tokenize_text("   \n\t ").empty());
-  EXPECT_TRUE(tok.tokenize_text("., !? ()").empty());
+  EXPECT_TRUE(spellings(tok.tokenize_text_ids("")).empty());
+  EXPECT_TRUE(spellings(tok.tokenize_text_ids("   \n\t ")).empty());
+  EXPECT_TRUE(spellings(tok.tokenize_text_ids("., !? ()")).empty());
   email::Message empty;
-  EXPECT_TRUE(tok.tokenize(empty).empty());
+  EXPECT_TRUE(spellings(tok.tokenize_ids(empty)).empty());
 }
 
-TEST(Tokenizer, UniqueTokensSortedAndDeduplicated) {
-  TokenList list = {"bbb", "aaa", "bbb", "ccc", "aaa"};
-  TokenSet set = unique_tokens(list);
-  ASSERT_EQ(set.size(), 3u);
-  EXPECT_EQ(set[0], "aaa");
-  EXPECT_EQ(set[1], "bbb");
-  EXPECT_EQ(set[2], "ccc");
-  EXPECT_TRUE(unique_tokens({}).empty());
+TEST(Tokenizer, UniqueTokenIdsSortedAndDeduplicated) {
+  const TokenIdSet set = unique_token_ids({7, 3, 7, 9, 3});
+  EXPECT_EQ(set, (TokenIdSet{3, 7, 9}));
+  EXPECT_TRUE(unique_token_ids({}).empty());
 }
 
 TEST(Tokenizer, BoundaryLengthsRespectOptions) {
   Tokenizer tok;  // min 3, max 12
-  auto tokens = tok.tokenize_text("ab abc abcdefghijkl abcdefghijklm");
+  auto tokens =
+      spellings(tok.tokenize_text_ids("ab abc abcdefghijkl abcdefghijklm"));
   EXPECT_FALSE(contains(tokens, "ab"));          // 2 < min
   EXPECT_TRUE(contains(tokens, "abc"));          // == min
   EXPECT_TRUE(contains(tokens, "abcdefghijkl"));  // == max (12)
@@ -213,7 +220,7 @@ TEST(Tokenizer, DeterministicAcrossCalls) {
   Tokenizer tok;
   const char* text = "Some Mixed CASE text with http://a.example/x and "
                      "$500 offers!!!";
-  EXPECT_EQ(tok.tokenize_text(text), tok.tokenize_text(text));
+  EXPECT_EQ(tok.tokenize_text_ids(text), tok.tokenize_text_ids(text));
 }
 
 /// Keeps the first occurrence of each id, in order.
@@ -235,22 +242,25 @@ TEST(Tokenizer, KnownIdsAreTheInternedStreamWithUnknownTokensDropped) {
                          .build();
   Tokenizer tok;
   TokenInterner interner;
-  const TokenList spellings = tok.tokenize(m);
+  // The stream spelled through the global interner; `interner` starts empty.
+  const Words words = spellings(tok.tokenize_ids(m));
   // Intern every other distinct spelling; the rest stay unknown.
-  const TokenSet distinct = unique_tokens(spellings);
+  Words distinct = words;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
   for (std::size_t i = 0; i < distinct.size(); i += 2) {
     interner.intern(distinct[i]);
   }
   const std::size_t interned = interner.size();
 
-  // The find()-filtered string stream, then its first occurrences.
+  // The find()-filtered spelled stream, then its first occurrences.
   TokenIdList filtered;
-  for (const std::string& t : spellings) {
+  for (const std::string& t : words) {
     if (const auto id = interner.find(t)) filtered.push_back(*id);
   }
   const TokenIdList expected = first_occurrences(filtered);
   ASSERT_FALSE(expected.empty());
-  ASSERT_LT(filtered.size(), spellings.size());  // some tokens unknown
+  ASSERT_LT(filtered.size(), words.size());  // some tokens unknown
   ASSERT_LT(expected.size(), filtered.size());   // some known ids repeat
   const TokenIdList known = tok.tokenize_known_ids(m, interner);
   EXPECT_EQ(known, expected);
@@ -276,12 +286,12 @@ TEST(Tokenizer, KnownIdsDeduplicateBeyondTheBodySizedSet) {
       email::MessageBuilder().subject(subject).body("tiny\n").build();
   Tokenizer tok;
   TokenInterner interner;
-  const TokenList spellings = tok.tokenize(m);
-  for (const std::string& t : spellings) interner.intern(t);
+  const Words words = spellings(tok.tokenize_ids(m));
+  for (const std::string& t : words) interner.intern(t);
   const std::size_t interned = interner.size();
   ASSERT_GT(interned, 300u);
   TokenIdList stream;
-  for (const std::string& t : spellings) stream.push_back(*interner.find(t));
+  for (const std::string& t : words) stream.push_back(*interner.find(t));
   EXPECT_EQ(tok.tokenize_known_ids(m, interner), first_occurrences(stream));
   EXPECT_EQ(interner.size(), interned);
 }
@@ -305,7 +315,7 @@ std::string_view ref_strip_punct(std::string_view w) {
 }
 
 void ref_word(const TokenizerOptions& o, std::string_view word,
-              TokenList& out) {
+              Words& out) {
   const std::string_view w = ref_strip_punct(word);
   if (w.empty() || w.size() < o.min_token_length) return;
   if (w.size() <= o.max_token_length) {
@@ -333,7 +343,7 @@ void ref_word(const TokenizerOptions& o, std::string_view word,
 }
 
 void ref_url(const TokenizerOptions& o, std::string_view rest,
-             TokenList& out) {
+             Words& out) {
   if (util::istarts_with(rest, "http://")) {
     out.push_back("url:http");
     rest.remove_prefix(7);
@@ -357,8 +367,8 @@ void ref_url(const TokenizerOptions& o, std::string_view rest,
   }
 }
 
-TokenList ref_tokenize_text(const TokenizerOptions& o, std::string_view text) {
-  TokenList out;
+Words ref_tokenize_text(const TokenizerOptions& o, std::string_view text) {
+  Words out;
   std::size_t i = 0;
   while (i < text.size()) {
     while (i < text.size() && util::is_space(text[i])) ++i;
@@ -403,10 +413,11 @@ TEST(Tokenizer, ByteClassesMatchTheCLocaleRulesForEveryByte) {
           return no_urls;
         }()}) {
     const Tokenizer tok(o);
-    const TokenList expected = ref_tokenize_text(o, body);
+    const Words expected = ref_tokenize_text(o, body);
     ASSERT_GT(expected.size(), 256u * 20);
-    EXPECT_EQ(tok.tokenize_text(body), expected);
-    EXPECT_EQ(tok.tokenize(email::Message({}, body)), expected);
+    EXPECT_EQ(spellings(tok.tokenize_text_ids(body)), expected);
+    EXPECT_EQ(spellings(tok.tokenize_ids(email::Message({}, body))),
+              expected);
   }
   for (int b = 0; b < 256; ++b) {
     const std::string w = std::string(1, static_cast<char>(b)) + "x-y" +
@@ -415,7 +426,7 @@ TEST(Tokenizer, ByteClassesMatchTheCLocaleRulesForEveryByte) {
   }
 }
 
-TEST(Tokenizer, IdStreamSpellsTheStringStreamOnGeneratedMail) {
+TEST(Tokenizer, IdStreamSpellingDoesNotDependOnTheInternerOnGeneratedMail) {
   const corpus::TrecLikeGenerator gen;
   util::Rng rng(15);
   const Tokenizer tok;
@@ -423,12 +434,9 @@ TEST(Tokenizer, IdStreamSpellsTheStringStreamOnGeneratedMail) {
   for (int i = 0; i < 500; ++i) {
     const email::Message m =
         i % 2 == 0 ? gen.generate_ham(rng) : gen.generate_spam(rng);
-    const TokenList spellings = tok.tokenize(m);
     const TokenIdList ids = tok.tokenize_ids(m, interner);
-    ASSERT_EQ(ids.size(), spellings.size()) << "message " << i;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      ASSERT_EQ(interner.spelling(ids[k]), spellings[k]) << "message " << i;
-    }
+    ASSERT_EQ(spellings(ids, interner), spellings(tok.tokenize_ids(m)))
+        << "message " << i;
     ASSERT_EQ(tok.tokenize_known_ids(m, interner), first_occurrences(ids))
         << "message " << i;
   }
