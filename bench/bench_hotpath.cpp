@@ -26,6 +26,7 @@
 #include "corpus/vocabulary.h"
 #include "email/rfc2822.h"
 #include "serve/base_model.h"
+#include "serve/frontend.h"
 #include "serve/shard.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
@@ -185,42 +186,36 @@ int main(int argc, char** argv) {
                   [&] { g_sink = tok.tokenize_known_ids(ham_msg).size(); }) *
       msg_mb;
 
-  // --- served classify: ServeFrontend::classify_batch's per-message work
-  // for a user without an overlay, transport excluded. Each message is
-  // parsed, tokenized lookup-only and scored by the warm engine in batches
-  // of 8, against the daemon's default base filter; the messages are
-  // fresh (never trained) rendered TrecLike mail, cycled from a pool.
-  const spambayes::Filter base =
-      serve::build_base_filter(serve::BaseModelConfig{});
+  // --- served classify: ServeFrontend::classify_batch for a user without
+  // an overlay, transport excluded — the path sbx_serve runs. Each request
+  // parses its 8 messages, tokenizes them lookup-only and scores them
+  // through the frontend's base table, against the daemon's default base
+  // filter; the messages are fresh (never trained) rendered TrecLike mail,
+  // cycled from a pool of 64 requests.
+  serve::ServeFrontend frontend(
+      serve::build_base_filter(serve::BaseModelConfig{}),
+      serve::FrontendConfig{});
   util::Rng served_rng(6);
-  std::vector<std::string> served_raw;
+  std::vector<serve::ClassifyBatchRequest> served(64);
   for (int i = 0; i < 512; ++i) {
-    served_raw.push_back(email::render_message(
+    served[i / 8].messages.push_back(email::render_message(
         i % 2 == 0 ? gen.generate_ham(served_rng)
                    : gen.generate_spam(served_rng)));
   }
-  std::vector<spambayes::TokenIdList> served_ids(8);
   std::size_t served_next = 0;
   const double classify_served =
       ops_per_sec(min_seconds,
                   [&] {
-                    for (spambayes::TokenIdList& ids : served_ids) {
-                      ids = base.message_known_token_ids(
-                          email::parse_message(served_raw[served_next]));
-                      served_next = (served_next + 1) % served_raw.size();
-                    }
+                    const serve::ClassifyBatchResponse response =
+                        frontend.classify_batch(served[served_next]);
                     double acc = 0.0;
-                    base.classify_batch(
-                        served_ids.size(),
-                        [&](std::size_t i) -> const spambayes::TokenIdList& {
-                          return served_ids[i];
-                        },
-                        [&](std::size_t, const spambayes::BatchScore& s) {
-                          acc += s.score;
-                        });
+                    for (const serve::ClassifyResult& r : response.results) {
+                      acc += r.score;
+                    }
+                    served_next = (served_next + 1) % served.size();
                     g_sink = acc;
                   }) *
-      static_cast<double>(served_ids.size());
+      8.0;
 
   // --- served train after a dictionary attack: ModelShard's copy-on-write
   // train (copy the published overlay, train one ordinary message, publish

@@ -6,7 +6,6 @@
 
 #include "email/rfc2822.h"
 #include "serve/replication.h"
-#include "spambayes/score_engine.h"
 #include "spambayes/scoring_math.h"
 #include "util/error.h"
 #include "util/sharding.h"
@@ -49,6 +48,8 @@ ServeFrontend::ServeFrontend(spambayes::Filter base, FrontendConfig config,
         "discriminator (unknown_word_prob too far from 0.5 for "
         "minimum_prob_strength); lookup-only classify would change scores");
   }
+  base_table_ = std::make_shared<const spambayes::ScoreTable>(
+      base_.database(), scoring);
   // Route every user id up front: shard by splitmix64 hash, then assign
   // dense local slots per shard so each ModelShard only allocates the
   // users it actually owns.
@@ -116,21 +117,26 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
     ids.push_back(base_.message_known_token_ids(email::parse_message(raw)));
   }
 
-  // One engine batch per request. A null overlay means the base filter
-  // IS this user's model: the generation-cached memo, the same path the
-  // batch experiments take. Otherwise the engine scores base + overlay
-  // counts fresh, leaving the per-base memo untouched.
+  // One engine batch per request, on the calling thread's scratch. A null
+  // overlay means the base filter IS this user's model: the batch reads
+  // the frontend's shared base table and fills no per-thread memo.
+  // Otherwise the engine scores base + overlay counts fresh.
   ClassifyBatchResponse response;
   response.results.resize(ids.size());
-  spambayes::ScoreEngine::for_current_thread(base_.options().classifier)
-      .score_batch(
-          base_.database(), overlay.get(), ids.size(),
-          [&](std::size_t i) -> const spambayes::TokenIdList& {
-            return ids[i];
-          },
-          [&](std::size_t i, const spambayes::BatchScore& s) {
-            response.results[i] = {s.score, verdict_to_byte(s.verdict)};
-          });
+  const auto ids_of = [&](std::size_t i) -> const spambayes::TokenIdList& {
+    return ids[i];
+  };
+  const auto sink = [&](std::size_t i, const spambayes::BatchScore& s) {
+    response.results[i] = {s.score, verdict_to_byte(s.verdict)};
+  };
+  spambayes::ScoreEngine& engine =
+      spambayes::ScoreEngine::for_current_thread(base_.options().classifier);
+  if (overlay == nullptr) {
+    engine.score_batch(*base_table_, ids.size(), ids_of, sink);
+  } else {
+    engine.score_batch(base_.database(), overlay.get(), ids.size(), ids_of,
+                       sink);
+  }
   shard.record_classified(at.local, ids.size());
   classify_requests_.fetch_add(1, std::memory_order_relaxed);
   return response;

@@ -11,8 +11,10 @@
 //  * every classify batch is one ScoreEngine::score_batch call on the
 //    calling thread's engine;
 //  * a user with an empty overlay classifies bit-identically to the base
-//    filter — the batch runs on the engine's generation-cached memo, the
-//    same code path batch experiments use;
+//    filter — the batch runs on the base's ScoreTable, built once by the
+//    constructor and shared by every thread, so served classify fills no
+//    per-thread memo. Ids interned after the table was built (by another
+//    user's train) have no base counts and read as the zero-count entry;
 //  * a user whose overlay was trained on messages M classifies
 //    bit-identically to a standalone Filter copy trained on M — the batch
 //    runs on the engine's fresh source, whose exact 64-bit count sums give
@@ -61,6 +63,7 @@
 #include "serve/shard.h"
 #include "serve/wal.h"
 #include "spambayes/filter.h"
+#include "spambayes/score_engine.h"
 
 namespace sbx::serve {
 
@@ -146,6 +149,9 @@ class ServeFrontend {
       const std::vector<ClassifyBatchRequest>& requests);
 
   const spambayes::Filter& base() const { return base_; }
+  /// The base's score table, built once by the constructor: what a user
+  /// without an overlay is scored through.
+  const spambayes::ScoreTable& base_table() const { return *base_table_; }
   std::size_t user_count() const { return route_.size(); }
   std::size_t shard_count() const { return shards_.size(); }
 
@@ -200,6 +206,8 @@ class ServeFrontend {
   ErrorResponse not_primary(const char* what);
 
   spambayes::Filter base_;
+  // Immutable once built; every classifying thread reads it.
+  std::shared_ptr<const spambayes::ScoreTable> base_table_;
   std::unique_ptr<Durability> durability_;
   std::unique_ptr<Replicator> replicator_;
   std::atomic<Role> role_{Role::kPrimary};

@@ -116,8 +116,8 @@ Server::~Server() {
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
   {
     const util::MutexLock lock(threads_mutex_);
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
+    for (const auto& connection : connections_) {
+      if (connection->thread.joinable()) connection->thread.join();
     }
   }
   for (int fd : drain_pipe_) {
@@ -170,7 +170,15 @@ void Server::run() {
     }
     counters_.active.fetch_add(1, std::memory_order_acq_rel);
     const util::MutexLock lock(threads_mutex_);
-    threads_.emplace_back([this, fd] { serve_connection(fd); });
+    reap_finished();
+    auto connection = std::make_unique<Connection>();
+    Connection* slot = connection.get();
+    connections_.reserve(connections_.size() + 1);  // push_back cannot throw
+    connection->thread = std::thread([this, fd, slot] {
+      serve_connection(fd);
+      slot->done.store(true, std::memory_order_release);
+    });
+    connections_.push_back(std::move(connection));
   }
   // Drain: no new connections. The listening socket closes now so the
   // endpoint disappears immediately; in-flight requests complete because
@@ -183,12 +191,20 @@ void Server::run() {
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
   {
     const util::MutexLock lock(threads_mutex_);
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
+    for (const auto& connection : connections_) {
+      if (connection->thread.joinable()) connection->thread.join();
     }
   }
   // Everything a client was told is durable before run() returns.
   frontend_.sync_durability();
+}
+
+void Server::reap_finished() {
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->done.load(std::memory_order_acquire)) return false;
+    c->thread.join();
+    return true;
+  });
 }
 
 void Server::request_drain() {

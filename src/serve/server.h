@@ -8,9 +8,11 @@
 //   "tcp:8725"             TCP on 127.0.0.1:8725 (loopback only)
 //   "tcp:0"                TCP on an OS-assigned loopback port
 //
-// Each connection gets a service thread; request-level failures become
-// ErrorResponse frames and the connection survives, while framing/protocol
-// violations close it.
+// Each connection gets a service thread, which the accept loop joins once
+// it has finished (at the next accept), so closed connections leave no
+// thread stacks behind; request-level failures become ErrorResponse
+// frames and the connection survives, while framing/protocol violations
+// close it.
 //
 // Robustness contract (PR 7):
 //
@@ -32,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,6 +96,17 @@ class Server {
   void bind_tcp(std::uint16_t port);
   void serve_connection(int fd);
   void shed_connection(int fd);
+  /// Joins every connection thread that has finished. Caller holds
+  /// threads_mutex_.
+  void reap_finished() SBX_REQUIRES(threads_mutex_);
+
+  /// One connection's service thread. `done` is set as the thread's last
+  /// action, so a thread that reads it set is at most returning and joins
+  /// at once.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
 
   ServeFrontend& frontend_;
   ServerConfig config_;
@@ -102,11 +116,14 @@ class Server {
   int drain_pipe_[2] = {-1, -1};  // self-pipe; [1] written by request_drain
   std::atomic<bool> stopping_{false};
   ServerCounters counters_;
-  // Connection table: the accept loop appends while the destructor (a
-  // different thread when run() lives on its own) joins.
+  // Connection table: the accept loop appends and reaps finished threads
+  // (so an exited thread's stack is freed before the next connection
+  // starts) while the destructor (a different thread when run() lives on
+  // its own) joins.
   util::Mutex threads_mutex_{util::LockRank::kServer,
                              "Server::threads_mutex_"};
-  std::vector<std::thread> threads_ SBX_GUARDED_BY(threads_mutex_);
+  std::vector<std::unique_ptr<Connection>> connections_
+      SBX_GUARDED_BY(threads_mutex_);
 };
 
 }  // namespace sbx::serve

@@ -4,15 +4,15 @@
 // copy-on-write delta overlay on a shared immutable base TokenDatabase.
 //
 // Every user starts with a null overlay — classification then runs
-// directly against the base on ScoreEngine's memoized source, so an idle
-// fleet of a million users costs one database, one memo per thread, zero
-// per-user bytes beyond the slot itself. The first train/untrain call
-// materializes a private delta database holding only that user's
-// feedback; classification then sums it with the base on ScoreEngine's
-// fresh source, which is bit-identical to a standalone filter trained on
-// base + overlay messages and never touches the base's memo. A train
-// that would wrap a uint32 count throws from prepare(), so the copy is
-// discarded before anything is logged or published.
+// directly against the base through the frontend's one ScoreTable, so an
+// idle fleet of a million users costs one database and one table per
+// process, zero per-user bytes beyond the slot itself. The first
+// train/untrain call materializes a private delta database holding only
+// that user's feedback; classification then sums it with the base on
+// ScoreEngine's fresh source, which is bit-identical to a standalone
+// filter trained on base + overlay messages and never touches the base's
+// table. A train that would wrap a uint32 count throws from prepare(), so
+// the copy is discarded before anything is logged or published.
 //
 // What a copy costs: TokenDatabase keeps its counts in shared 2 KiB leaves
 // behind a spine (token_db.h), so prepare()'s copy is the spine alone, one

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 
 #include "spambayes/scoring_math.h"
 #include "util/error.h"
@@ -31,27 +34,89 @@ double wide_sum(std::uint32_t a, std::uint32_t b) {
   return static_cast<double>(std::uint64_t{a} + b);
 }
 
-/// The overlay of a fresh score with no overlay: all counts zero.
-const TokenDatabase& empty_database() {
-  static const TokenDatabase empty;
-  return empty;
+/// The rank of a token at `distance` from 0.5 (see TokenScore::rank), 0
+/// when it is not a discriminator.
+std::uint64_t rank_of(double distance, const ClassifierOptions& opts) {
+  return detail::admits(distance, opts) ? ~std::bit_cast<std::uint64_t>(distance)
+                                        : 0;
 }
 
-}  // namespace
-
-ScoreEngine::ScoreEngine(ClassifierOptions opts) : opts_(opts) {}
-
-ScoreEngine::LogTerms ScoreEngine::log_terms(double f) {
+/// log(f) and log1p(-f) of a discriminator's score f. With s > 0 the
+/// smoothed score is strictly inside (0,1); the clamp keeps a degenerate
+/// configuration (s == 0) from producing log(0).
+std::pair<double, double> log_terms(double f) {
   const double clamped = std::clamp(f, 1e-300, 1.0 - 1e-15);
   return {std::log(clamped), std::log1p(-clamped)};
 }
 
-void ScoreEngine::rebind_options(const ClassifierOptions& opts) {
-  if (opts.unknown_word_strength != opts_.unknown_word_strength ||
-      opts.unknown_word_prob != opts_.unknown_word_prob ||
-      opts.minimum_prob_strength != opts_.minimum_prob_strength) {
-    ++epoch_;
+/// The one computation behind the table's and the memo's TokenScores.
+TokenScore token_score(double spam, double ham, double ns, double nh,
+                       const ClassifierOptions& opts) {
+  TokenScore out;
+  out.f = detail::score_from_counts(spam, ham, ns, nh, opts);
+  out.rank = rank_of(detail::distance_from_neutral(out.f), opts);
+  if (out.rank != 0) std::tie(out.log_f, out.log_1mf) = log_terms(out.f);
+  return out;
+}
+
+/// Whether two option sets give every token the same TokenScore: s, x and
+/// minimum_prob_strength agree (cutoffs and max_discriminators apply only
+/// at combine time).
+bool same_token_scores(const ClassifierOptions& a, const ClassifierOptions& b) {
+  return a.unknown_word_strength == b.unknown_word_strength &&
+         a.unknown_word_prob == b.unknown_word_prob &&
+         a.minimum_prob_strength == b.minimum_prob_strength;
+}
+
+/// One token as score_one sees it: its f(w), its rank (0: not a
+/// discriminator) and, when ranked, its spelling prefix.
+struct Looked {
+  double f;
+  std::uint64_t rank;
+  std::uint64_t spell_prefix;
+};
+
+}  // namespace
+
+ScoreTable::ScoreTable(const TokenDatabase& db, const ClassifierOptions& opts)
+    : generation_(db.generation()), opts_(opts) {
+  const double ns = db.spam_count();
+  const double nh = db.ham_count();
+  scores_.push_back(token_score(0, 0, ns, nh, opts_));
+  TokenId end = 0;
+  db.for_each_counted([&](TokenId id, const TokenCounts&) { end = id + 1; });
+  slots_.resize(end);
+  // Ids with equal counts share one TokenScore, so libm runs once per
+  // distinct pair. The key packs (spam, ham) into 64 bits.
+  std::unordered_map<std::uint64_t, std::uint32_t> index_of{{0, 0}};
+  db.for_each_counted([&](TokenId id, const TokenCounts& c) {
+    const auto [at, inserted] = index_of.try_emplace(
+        std::uint64_t{c.spam} << 32 | c.ham,
+        static_cast<std::uint32_t>(scores_.size()));
+    if (inserted) scores_.push_back(token_score(c.spam, c.ham, ns, nh, opts_));
+    slots_[id].score = at->second;
+  });
+  // Only discriminators are ever sorted, so only they need a prefix.
+  const TokenInterner& interner = global_interner();
+  for (TokenId id = 0; id < end; ++id) {
+    Slot& slot = slots_[id];
+    if (scores_[slot.score].rank == 0) continue;
+    const std::uint64_t prefix = spelling_prefix(interner.spelling(id));
+    slot.prefix_hi = static_cast<std::uint32_t>(prefix >> 32);
+    slot.prefix_lo = static_cast<std::uint32_t>(prefix);
   }
+  scores_.shrink_to_fit();
+}
+
+std::size_t ScoreTable::bytes() const {
+  return scores_.capacity() * sizeof(TokenScore) +
+         slots_.capacity() * sizeof(Slot);
+}
+
+ScoreEngine::ScoreEngine(ClassifierOptions opts) : opts_(opts) {}
+
+void ScoreEngine::rebind_options(const ClassifierOptions& opts) {
+  if (!same_token_scores(opts, opts_)) ++epoch_;
   opts_ = opts;
 }
 
@@ -74,19 +139,24 @@ void ScoreEngine::check_generation(const TokenDatabase& db,
   }
 }
 
-const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
-                                                    TokenId id) {
+void ScoreEngine::check_options(const ClassifierOptions& table) const {
+  if (!same_token_scores(table, opts_)) {
+    throw InvalidArgument(
+        "ScoreEngine::score_batch: ScoreTable was built under other s, x "
+        "or minimum_prob_strength than the engine's options");
+  }
+}
+
+const ScoreEngine::MemoSlot& ScoreEngine::memo_for(const TokenDatabase& db,
+                                                   TokenId id) {
   if (id >= memo_.size()) {
     memo_.resize(std::max<std::size_t>(id + 1, memo_.size() * 2));
   }
-  TokenMemo& m = memo_[id];
+  MemoSlot& m = memo_[id];
   if (m.epoch != epoch_) {
-    const double f = detail::score_from_counts(db.counts(id), ns_, nh_, opts_);
-    m.f = f;
-    m.distance = detail::distance_from_neutral(f);
-    m.strong = detail::admits(m.distance, opts_);
-    if (m.strong) {
-      m.logs = log_terms(f);
+    const TokenCounts c = db.counts(id);
+    m.score = token_score(c.spam, c.ham, ns_, nh_, opts_);
+    if (m.score.rank != 0) {
       m.spell_prefix = spelling_prefix(global_interner().spelling(id));
     }
     m.epoch = epoch_;
@@ -94,42 +164,23 @@ const ScoreEngine::TokenMemo& ScoreEngine::memo_for(const TokenDatabase& db,
   return m;
 }
 
-void ScoreEngine::score_one(const TokenDatabase& base,
-                            const TokenDatabase* overlay,
-                            const TokenIdList& ids,
+template <typename Lookup, typename LogsOf>
+void ScoreEngine::score_one(const TokenIdList& ids, Lookup&& lookup,
+                            LogsOf&& logs_of,
                             std::vector<TokenIdEvidence>& evidence,
                             BatchScore& out) {
   evidence.clear();
   candidates_.clear();
-  // Queues the last evidence entry as a delta(E) candidate (see SortKey).
-  const auto admit = [&](double distance, std::uint64_t spell_prefix) {
-    const auto index = static_cast<std::uint32_t>(evidence.size() - 1);
-    const auto bits = ~std::bit_cast<std::uint64_t>(distance);
-    candidates_.push_back(
-        {(static_cast<SortKey>(bits) << 64) | spell_prefix, index});
-  };
-  const TokenInterner& interner = global_interner();
-  if (overlay == nullptr) {
-    for (TokenId id : ids) {
-      const TokenMemo& m = memo_for(base, id);
-      evidence.push_back({id, m.f, false});
-      if (m.strong) admit(m.distance, m.spell_prefix);
-    }
-  } else {
-    const double ns = wide_sum(base.spam_count(), overlay->spam_count());
-    const double nh = wide_sum(base.ham_count(), overlay->ham_count());
-    for (TokenId id : ids) {
-      const TokenCounts b = base.counts(id);
-      const TokenCounts o = overlay->counts(id);
-      const double f = detail::score_from_counts(
-          wide_sum(b.spam, o.spam), wide_sum(b.ham, o.ham), ns, nh, opts_);
-      evidence.push_back({id, f, false});
-      const double distance = detail::distance_from_neutral(f);
-      if (detail::admits(distance, opts_)) {
-        admit(distance, spelling_prefix(interner.spelling(id)));
-      }
+  for (TokenId id : ids) {
+    const Looked token = lookup(id);
+    evidence.push_back({id, token.f, false});
+    if (token.rank != 0) {
+      candidates_.push_back(
+          {(static_cast<SortKey>(token.rank) << 64) | token.spell_prefix,
+           static_cast<std::uint32_t>(evidence.size() - 1)});
     }
   }
+  const TokenInterner& interner = global_interner();
 
   // Select delta(E): up to max_discriminators admitted tokens in the
   // strict total order (distance from 0.5 desc, spelling asc). One packed
@@ -169,11 +220,9 @@ void ScoreEngine::score_one(const TokenDatabase& base,
   for (const Candidate& candidate : candidates_) {
     TokenIdEvidence& ev = evidence[candidate.index];
     ev.used = true;
-    // The memo holds the same libm results log_terms() computes.
-    const LogTerms logs =
-        overlay == nullptr ? memo_[ev.id].logs : log_terms(ev.score);
-    sum_log_f += logs.log_f;
-    sum_log_1mf += logs.log_1mf;
+    const auto [log_f, log_1mf] = logs_of(ev);
+    sum_log_f += log_f;
+    sum_log_1mf += log_1mf;
   }
 
   // Eq. 4 (survival form): H = Q(-2 sum log f; 2n), S = Q(-2 sum log(1-f)).
@@ -189,13 +238,83 @@ void ScoreEngine::score_one(const TokenDatabase& base,
                                         opts_.spam_cutoff);
 }
 
-ScoreIdResult ScoreEngine::score_to_result(const TokenDatabase& base,
-                                           const TokenDatabase* overlay,
-                                           const TokenIdList& ids) {
+void ScoreEngine::score_memo(const TokenDatabase& db, const TokenIdList& ids,
+                             std::vector<TokenIdEvidence>& evidence,
+                             BatchScore& out) {
+  score_one(
+      ids,
+      [&](TokenId id) {
+        const MemoSlot& m = memo_for(db, id);
+        return Looked{m.score.f, m.score.rank, m.spell_prefix};
+      },
+      // The memo holds the same libm results log_terms() computes.
+      [&](const TokenIdEvidence& ev) {
+        const TokenScore& t = memo_[ev.id].score;
+        return std::pair{t.log_f, t.log_1mf};
+      },
+      evidence, out);
+}
+
+void ScoreEngine::score_table(const ScoreTable& table, const TokenIdList& ids,
+                              std::vector<TokenIdEvidence>& evidence,
+                              BatchScore& out) {
+  // An id at or past the table's range was interned after the table was
+  // built, so the table's database holds no count for it.
+  const std::size_t size = table.slots_.size();
+  score_one(
+      ids,
+      [&](TokenId id) {
+        if (id >= size) {
+          const TokenScore& zero = table.scores_[0];
+          return Looked{zero.f, zero.rank,
+                        zero.rank != 0
+                            ? spelling_prefix(global_interner().spelling(id))
+                            : 0};
+        }
+        const ScoreTable::Slot slot = table.slots_[id];
+        const TokenScore& t = table.scores_[slot.score];
+        return Looked{t.f, t.rank,
+                      std::uint64_t{slot.prefix_hi} << 32 | slot.prefix_lo};
+      },
+      [&](const TokenIdEvidence& ev) {
+        const TokenScore& t =
+            table.scores_[ev.id < size ? table.slots_[ev.id].score : 0];
+        return std::pair{t.log_f, t.log_1mf};
+      },
+      evidence, out);
+}
+
+void ScoreEngine::score_fresh_one(const TokenDatabase& base,
+                                  const TokenDatabase& overlay,
+                                  const TokenIdList& ids,
+                                  std::vector<TokenIdEvidence>& evidence,
+                                  BatchScore& out) {
+  const double ns = wide_sum(base.spam_count(), overlay.spam_count());
+  const double nh = wide_sum(base.ham_count(), overlay.ham_count());
+  const TokenInterner& interner = global_interner();
+  score_one(
+      ids,
+      [&](TokenId id) {
+        const TokenCounts b = base.counts(id);
+        const TokenCounts o = overlay.counts(id);
+        const double f = detail::score_from_counts(
+            wide_sum(b.spam, o.spam), wide_sum(b.ham, o.ham), ns, nh, opts_);
+        const std::uint64_t rank =
+            rank_of(detail::distance_from_neutral(f), opts_);
+        return Looked{
+            f, rank, rank != 0 ? spelling_prefix(interner.spelling(id)) : 0};
+      },
+      [](const TokenIdEvidence& ev) { return log_terms(ev.score); }, evidence,
+      out);
+}
+
+template <typename ScoreInto>
+ScoreIdResult ScoreEngine::to_result(const TokenIdList& ids,
+                                     ScoreInto&& score) {
   ScoreIdResult result;
   result.evidence.reserve(ids.size());
   BatchScore scored;
-  score_one(base, overlay, ids, result.evidence, scored);
+  score(result.evidence, scored);
   result.score = scored.score;
   result.spam_evidence = scored.spam_evidence;
   result.ham_evidence = scored.ham_evidence;
@@ -207,14 +326,20 @@ ScoreIdResult ScoreEngine::score_to_result(const TokenDatabase& base,
 ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
                                      const TokenIdList& ids) {
   bind(db);
-  return score_to_result(db, nullptr, ids);
+  return to_result(ids, [&](auto& evidence, BatchScore& out) {
+    score_memo(db, ids, evidence, out);
+  });
 }
 
 ScoreIdResult ScoreEngine::score_fresh(const TokenDatabase& base,
                                        const TokenDatabase* overlay,
                                        const TokenIdList& ids) {
-  return score_to_result(base, overlay != nullptr ? overlay : &empty_database(),
-                         ids);
+  // The overlay of a fresh score with no overlay: all counts zero.
+  static const TokenDatabase empty;
+  return to_result(ids, [&](auto& evidence, BatchScore& out) {
+    score_fresh_one(base, overlay != nullptr ? *overlay : empty, ids,
+                    evidence, out);
+  });
 }
 
 ScoreEngine& ScoreEngine::for_current_thread(const ClassifierOptions& opts) {

@@ -4,20 +4,27 @@
 // delta(E) selection of the strongest tokens and the Fisher/chi-square
 // combination into I(E). Classifier, Filter, the serving frontend and the
 // experiment loops all end in one selection/combine routine, which runs
-// over one of two per-token value sources:
+// over one of three per-token value sources:
 //
-//  * Memoized (score_ids; score_batch without an overlay): f(w), its
-//    log(f)/log1p(-f) pair, its distance from 0.5 and an admission flag,
-//    computed once per (token, database generation) into a flat vector
-//    indexed by TokenId. The database only changes at training events, so
-//    classify loops skip the libm calls entirely once warm.
+//  * Table (score_batch over a ScoreTable): an immutable table of one
+//    database generation, built eagerly and shared by every thread. The
+//    serving frontend builds one for its base and scores users without an
+//    overlay through it: per id one slot load, then the slot's TokenScore
+//    ({f, log f, log1p(-f), sort rank}), stored once per distinct
+//    (NS(w), NH(w)) pair. Ids past the table's range read as zero counts.
+//  * Memoized (score_ids; score_batch without an overlay): the same
+//    TokenScore per id, filled lazily once per (token, database
+//    generation) into a per-thread vector. Experiments take it: their
+//    database changes at every fold train and RONI step, and a sweep
+//    interns far more tokens (attack dictionaries) than its test messages
+//    carry, so an eager rebuild would score ids nobody reads.
 //  * Fresh (score_fresh; score_batch with an overlay): f(w) from the
 //    64-bit sum of a base's and an overlay's counts, per message, with
 //    logs only for the <= max_discriminators selected tokens. It never
 //    reads, writes or invalidates the memo.
 //
-// Both run the same floating-point operations on the same inputs in the
-// same candidate order, so they agree bit for bit with each other and
+// All three run the same floating-point operations on the same inputs in
+// the same candidate order, so they agree bit for bit with each other and
 // with a database trained on base + overlay messages
 // (tests/spambayes/interned_equivalence_test.cpp, EXPECT_EQ on doubles).
 //
@@ -31,12 +38,15 @@
 // Invalidation: TokenDatabase::generation() is process-globally unique
 // per mutation, so `generation() == cached` proves the memo exact; any
 // train/untrain/merge/load moves it and the next memoized call refills
-// lazily. A batch scores one snapshot: mutating a database it reads from
-// the sink throws on the next message.
+// lazily. A ScoreTable is exact for the one generation it was built from
+// and is never refilled; a new generation needs a new table. A batch
+// scores one snapshot: mutating a database it reads from the sink throws
+// on the next message.
 //
 // Thread ownership: an engine is mutable scratch, one per thread.
 // for_current_thread() hands out a thread_local engine, which is what lets
-// a shared *const* Filter be classified from many threads at once.
+// a shared *const* Filter be classified from many threads at once. A
+// ScoreTable is immutable and read by any number of engines at once.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +73,57 @@ struct BatchScore {
   std::size_t tokens_used = 0;
   Verdict verdict = Verdict::unsure;
   std::span<const TokenIdEvidence> evidence;  // in input-id order
+};
+
+/// What the scorer needs of one token under fixed class totals and
+/// options: f(w), and for a discriminator its log pair and its sort rank.
+/// The table stores one per distinct count pair, the memo one per id.
+struct TokenScore {
+  double f = 0.5;
+  double log_f = 0.0;    // log(f); set only when rank != 0
+  double log_1mf = 0.0;  // log1p(-f); set only when rank != 0
+  /// 0 when the token is not a discriminator (fails minimum_prob_strength),
+  /// else the bitwise complement of its distance from 0.5 as IEEE-754 bits.
+  /// A distance is >= 0 (or NaN, which is never admitted), so the
+  /// complement has its top bit set and is never 0, and ascending rank is
+  /// descending distance.
+  std::uint64_t rank = 0;
+};
+
+/// An immutable TokenScore for every id of one database generation, built
+/// eagerly. Per id it holds a 12-byte slot (an index into the distinct
+/// count pairs' TokenScores and the spelling's first 8 bytes, the delta(E)
+/// tie-break); counts repeat a lot (the 2,000-message serve base has
+/// 70,076 ids over 1,480 pairs), so the libm calls run once per pair.
+class ScoreTable {
+ public:
+  /// Scores every id `db` holds a count for under `opts`' s, x and
+  /// minimum_prob_strength (the memo-relevant options).
+  ScoreTable(const TokenDatabase& db, const ClassifierOptions& opts);
+
+  /// The generation of the database the table was built from.
+  std::uint64_t generation() const { return generation_; }
+  const ClassifierOptions& options() const { return opts_; }
+
+  /// Ids covered: one past the highest id with counts. Ids at or above it
+  /// read as the zero-count entry.
+  std::size_t size() const { return slots_.size(); }
+  /// Heap bytes held (slots plus distinct scores).
+  std::size_t bytes() const;
+
+ private:
+  friend class ScoreEngine;
+
+  struct Slot {
+    std::uint32_t score = 0;  // index into scores_; 0 is the zero pair
+    std::uint32_t prefix_hi = 0;  // spelling prefix, set when admitted
+    std::uint32_t prefix_lo = 0;
+  };
+
+  std::uint64_t generation_;
+  ClassifierOptions opts_;
+  std::vector<TokenScore> scores_;  // [0]: counts {0, 0}
+  std::vector<Slot> slots_;         // indexed by TokenId
 };
 
 /// The scorer. Owns the per-token memo and per-message scratch buffers.
@@ -97,8 +158,28 @@ class ScoreEngine {
     BatchScore out;
     for (std::size_t i = 0; i < count; ++i) {
       check_generation(base, base_generation);
-      if (overlay != nullptr) check_generation(*overlay, overlay_generation);
-      score_one(base, overlay, ids_of(i), evidence_, out);
+      if (overlay == nullptr) {
+        score_memo(base, ids_of(i), evidence_, out);
+      } else {
+        check_generation(*overlay, overlay_generation);
+        score_fresh_one(base, *overlay, ids_of(i), evidence_, out);
+      }
+      sink(i, static_cast<const BatchScore&>(out));
+    }
+  }
+
+  /// The same batch path over a prebuilt table: it reads neither a
+  /// database nor the memo, so it leaves cached_generation() as it was.
+  /// Throws sbx::InvalidArgument when the table was built under other
+  /// memo-relevant options (s, x, minimum_prob_strength) than this
+  /// engine's; cutoffs and max_discriminators are the engine's.
+  template <typename GetIds, typename Sink>
+  void score_batch(const ScoreTable& table, std::size_t count,
+                   GetIds&& ids_of, Sink&& sink) {
+    check_options(table.options());
+    BatchScore out;
+    for (std::size_t i = 0; i < count; ++i) {
+      score_table(table, ids_of(i), evidence_, out);
       sink(i, static_cast<const BatchScore&>(out));
     }
   }
@@ -131,32 +212,20 @@ class ScoreEngine {
   static ScoreEngine& for_current_thread(const ClassifierOptions& opts);
 
  private:
-  /// log(f) and log1p(-f) of a discriminator's score f.
-  struct LogTerms {
-    double log_f = 0.0;
-    double log_1mf = 0.0;
-  };
-
-  /// Memoized per-token values, exact for the bound (generation, options)
-  /// pair iff epoch == engine epoch. logs/spell_prefix are only meaningful
-  /// when strong (weak tokens are never selected into delta(E)).
-  struct TokenMemo {
-    double f = 0.5;
-    LogTerms logs;
-    double distance = 0.0;
+  /// A memo entry: exact for the bound (generation, options) pair iff
+  /// epoch == engine epoch. spell_prefix is set only when score.rank != 0.
+  struct MemoSlot {
+    TokenScore score;
     std::uint64_t spell_prefix = 0;
     std::uint64_t epoch = 0;  // 0 never matches (engine epochs start at 1)
-    bool strong = false;
   };
 
   /// Sort key packing (distance desc, spelling-prefix asc) into one
-  /// 128-bit integer: the high lane is the bitwise complement of the
-  /// distance's IEEE-754 bits (distance >= 0, so raw bits order doubles
-  /// numerically and the complement flips the direction), the low lane
-  /// the spelling's first 8 bytes as a big-endian integer. Ascending key
-  /// order is then exactly the (distance desc, spelling asc) total order,
-  /// except for prefix collisions, which the comparator resolves with a
-  /// full spelling comparison.
+  /// 128-bit integer: the high lane is the token's TokenScore::rank, the
+  /// low lane the spelling's first 8 bytes as a big-endian integer.
+  /// Ascending key order is then exactly the (distance desc, spelling asc)
+  /// total order, except for prefix collisions, which the comparator
+  /// resolves with a full spelling comparison.
   // GCC/Clang extension; __extension__ silences -Wpedantic (the build has
   // no 128-bit-free fallback need on the supported toolchains).
   __extension__ typedef unsigned __int128 SortKey;
@@ -166,35 +235,46 @@ class ScoreEngine {
     std::uint32_t index;  // into the message's evidence
   };
 
-  /// The clamp + libm calls behind LogTerms. With s > 0 the smoothed
-  /// score is strictly inside (0,1); the clamp keeps a degenerate
-  /// configuration (s == 0) from producing log(0).
-  static LogTerms log_terms(double f);
-
   /// Re-syncs the memo to db's generation, invalidating it when it moved.
   void bind(const TokenDatabase& db);
 
   /// Throws when db no longer matches the generation a batch bound.
   void check_generation(const TokenDatabase& db, std::uint64_t bound) const;
 
-  /// The memo entry for `id`, filled on first use this epoch.
-  const TokenMemo& memo_for(const TokenDatabase& db, TokenId id);
+  /// Throws unless `table` was scored under this engine's s, x and
+  /// minimum_prob_strength.
+  void check_options(const ClassifierOptions& table) const;
 
-  /// Scores one message into `evidence` (cleared first) and `out`: the
-  /// memo over `base` when `overlay` is null (bind(base) first), else the
-  /// fresh source over base + overlay.
-  void score_one(const TokenDatabase& base, const TokenDatabase* overlay,
-                 const TokenIdList& ids,
+  /// The memo entry for `id`, filled on first use this epoch.
+  const MemoSlot& memo_for(const TokenDatabase& db, TokenId id);
+
+  /// Score one message into `evidence` (cleared first) and `out`, each
+  /// from one source: the memo over `db` (bind(db) first), the table, or
+  /// the fresh sum of base + overlay. All three end in score_one.
+  void score_memo(const TokenDatabase& db, const TokenIdList& ids,
+                  std::vector<TokenIdEvidence>& evidence, BatchScore& out);
+  void score_table(const ScoreTable& table, const TokenIdList& ids,
+                   std::vector<TokenIdEvidence>& evidence, BatchScore& out);
+  void score_fresh_one(const TokenDatabase& base,
+                       const TokenDatabase& overlay, const TokenIdList& ids,
+                       std::vector<TokenIdEvidence>& evidence,
+                       BatchScore& out);
+
+  /// The admit/select/combine routine behind every source (defined in the
+  /// .cpp, instantiated only there). lookup(id) returns a Looked;
+  /// logs_of(evidence entry) the log pair of a selected token.
+  template <typename Lookup, typename LogsOf>
+  void score_one(const TokenIdList& ids, Lookup&& lookup, LogsOf&& logs_of,
                  std::vector<TokenIdEvidence>& evidence, BatchScore& out);
 
-  /// score_one into a self-contained ScoreIdResult.
-  ScoreIdResult score_to_result(const TokenDatabase& base,
-                                const TokenDatabase* overlay,
-                                const TokenIdList& ids);
+  /// score_one into a self-contained ScoreIdResult, through `score`, one
+  /// of the score_* members above.
+  template <typename ScoreInto>
+  ScoreIdResult to_result(const TokenIdList& ids, ScoreInto&& score);
 
   ClassifierOptions opts_;
-  std::vector<TokenMemo> memo_;  // indexed by TokenId
-  std::uint64_t epoch_ = 1;      // bumped on every invalidation
+  std::vector<MemoSlot> memo_;    // indexed by TokenId
+  std::uint64_t epoch_ = 1;       // bumped on every invalidation
   std::uint64_t generation_ = 0;  // db generation the memo is exact for
   double ns_ = 0.0;               // db.spam_count() as double, cached
   double nh_ = 0.0;

@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -173,6 +175,64 @@ TEST(ClientRobustness, ConnectionCapShedsWithOverloadedError) {
   Client third("unix:" + path, patient);
   EXPECT_TRUE(std::holds_alternative<StatsResponse>(
       third.call(Request(StatsRequest{}))));
+  std::remove(path.c_str());
+}
+
+/// VmSize of this process, in kB (/proc/self/status).
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize line in /proc/self/status";
+  return 0;
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+std::size_t task_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ClientRobustness, SequentialConnectionsLeaveNoThreadsOrStacksBehind) {
+  // Every closed connection's service thread is joined by the accept loop,
+  // so its stack mapping is freed: sequential connect -> classify -> close
+  // cycles keep the thread count and VmSize flat. One connection at a
+  // time; an unjoined thread would hold its 8 MB stack.
+  const std::string path = temp_sock("reap");
+  LiveServer live("unix:" + path);
+  ClassifyBatchRequest request;
+  request.user_id = 1;
+  request.messages = {"From: a@example.com\nSubject: hi\n\nhello there\n"};
+  // One connection at a time: each cycle waits until the server thread
+  // has finished before the next connect, so threads (and the malloc
+  // arenas they would take) never pile up on a loaded machine.
+  const auto cycle = [&] {
+    {
+      Client client("unix:" + path);
+      const Response r = client.call(Request(request));
+      EXPECT_TRUE(std::holds_alternative<ClassifyBatchResponse>(r));
+    }
+    for (int i = 0; i < 1000 && live.server.counters().active.load() != 0;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // Warm-up: malloc arenas and the thread-stack cache reach their steady
+  // state.
+  for (int i = 0; i < 20; ++i) cycle();
+  const std::size_t tasks = task_count();
+  const long vm_kb = vm_size_kb();
+  for (int i = 0; i < 200; ++i) cycle();
+  // Slack for a thread still exiting and one more malloc arena (64 MB of
+  // address space); 200 unjoined threads would add 1.6 GB.
+  EXPECT_LE(task_count(), tasks + 1);
+  EXPECT_LE(vm_size_kb(), vm_kb + 128 * 1024);
   std::remove(path.c_str());
 }
 

@@ -24,6 +24,7 @@
 #include "serve/frontend.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "spambayes/filter.h"
 #include "spambayes/interner.h"
 #include "spambayes/score_engine.h"
 #include "util/error.h"
@@ -397,6 +398,158 @@ TEST(LookupOnlyClassify, TokensCountedByAPublishedSnapshotAreAlwaysFound) {
   EXPECT_GT(nonempty_passes.load(), 0u);
   EXPECT_EQ(unfound_counted_tokens(frontend.overlay(kUser)), 0u);
   EXPECT_GE(frontend.overlay(kUser)->vocabulary_size(), kWords * trains);
+}
+
+
+// --- the base score table (frontend.h: empty-overlay classify) ------------
+
+/// Serves `requests` to `frontend` in order; the scores, flattened.
+std::vector<ClassifyResult> serve_all(
+    ServeFrontend& frontend, const std::vector<ClassifyBatchRequest>& requests) {
+  std::vector<ClassifyResult> out;
+  for (const ClassifyBatchRequest& request : requests) {
+    const auto results = frontend.classify_batch(request).results;
+    out.insert(out.end(), results.begin(), results.end());
+  }
+  return out;
+}
+
+/// Checks every served result against the fresh source on the base alone,
+/// over the ids the lookup-only tokenizer finds now.
+void expect_matches_fresh_base(const ServeFrontend& frontend,
+                               const std::vector<std::string>& probes,
+                               const std::vector<ClassifyResult>& served) {
+  const spambayes::Filter& base = frontend.base();
+  ASSERT_EQ(served.size(), probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const spambayes::ScoreIdResult fresh = base.classifier().score_ids(
+        base.database(),
+        base.message_known_token_ids(email::parse_message(probes[i])));
+    // EXPECT_EQ on doubles is exact equality — the bit-identity claim.
+    EXPECT_EQ(served[i].score, fresh.score) << "probe " << i;
+    EXPECT_EQ(served[i].verdict, verdict_to_byte(fresh.verdict))
+        << "probe " << i;
+  }
+}
+
+std::vector<ClassifyBatchRequest> batches_of_8(
+    const std::vector<std::string>& messages, std::uint64_t user_id) {
+  std::vector<ClassifyBatchRequest> out;
+  for (std::size_t start = 0; start < messages.size(); start += 8) {
+    ClassifyBatchRequest request;
+    request.user_id = user_id;
+    request.messages.assign(
+        messages.begin() + static_cast<std::ptrdiff_t>(start),
+        messages.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(start + 8, messages.size())));
+    out.push_back(std::move(request));
+  }
+  return out;
+}
+
+TEST(ScoreTableServing, IdsInternedAfterTheTableReadAsZeroCounts) {
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  const std::size_t table_size = frontend.base_table().size();
+  EXPECT_EQ(frontend.base_table().generation(),
+            frontend.base().database().generation());
+  // Another user's train interns words the base never saw, after the
+  // table was built.
+  std::string fresh_words;
+  for (int w = 0; w < 40; ++w) fresh_words += " tblz" + std::to_string(w);
+  TrainRequest t;
+  t.user_id = 5;
+  t.as_spam = true;
+  t.message = "From: a@example.com\nSubject: tblz\n\n" + fresh_words + "\n";
+  frontend.train(t);
+
+  std::vector<std::string> probes = make_messages(40, 81);
+  for (std::string& probe : probes) probe += fresh_words + "\n";
+  ASSERT_TRUE(frontend.overlay(0) == nullptr);
+  const std::vector<ClassifyResult> served =
+      serve_all(frontend, batches_of_8(probes, 0));
+
+  // The probes did carry ids past the table's range.
+  const spambayes::TokenIdList ids = frontend.base().message_known_token_ids(
+      email::parse_message(probes[0]));
+  EXPECT_GE(std::count_if(ids.begin(), ids.end(),
+                          [&](spambayes::TokenId id) {
+                            return id >= table_size;
+                          }),
+            40);
+  expect_matches_fresh_base(frontend, probes, served);
+}
+
+TEST(ScoreTableServing, ServingThreadsShareTheTableAndFillNoMemo) {
+  ServeFrontend frontend(build_base_filter(small_base()), {2, 8});
+  const std::vector<std::string> probes = make_messages(64, 82);
+  const std::vector<ClassifyBatchRequest> requests = batches_of_8(probes, 2);
+  const std::vector<ClassifyResult> expected = serve_all(frontend, requests);
+  expect_matches_fresh_base(frontend, probes, expected);
+
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 200;
+  std::vector<std::uint64_t> memo_generation(kThreads, 1);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        const std::size_t r = static_cast<std::size_t>(b + t) % requests.size();
+        const auto results = frontend.classify_batch(requests[r]).results;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          const ClassifyResult& want = expected[r * 8 + i];
+          if (results[i].score != want.score ||
+              results[i].verdict != want.verdict) {
+            ++mismatches[t];
+          }
+        }
+      }
+      memo_generation[t] = spambayes::ScoreEngine::for_current_thread(
+                               frontend.base().options().classifier)
+                               .cached_generation();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // One table for the process: 12 bytes per id plus one TokenScore per
+  // distinct count pair, far under the memo's 48 bytes per id per thread.
+  EXPECT_LT(frontend.base_table().bytes(), 16 * frontend.base_table().size());
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    // 0: the thread's engine never memoized a database.
+    EXPECT_EQ(memo_generation[t], 0u) << "thread " << t;
+  }
+}
+
+TEST(ScoreTableServing, TableUnderNonDefaultOptionsMatchesTheFreshSource) {
+  spambayes::FilterOptions options;
+  options.classifier.unknown_word_strength = 0.7;
+  options.classifier.unknown_word_prob = 0.45;
+  options.classifier.minimum_prob_strength = 0.2;
+  spambayes::Filter base(options);
+  corpus::TrecLikeGenerator generator;
+  util::Rng rng(83);
+  for (int i = 0; i < 150; ++i) {
+    base.train_ham(generator.generate_ham(rng));
+    base.train_spam(generator.generate_spam(rng));
+  }
+  ServeFrontend frontend(std::move(base), {2, 8});
+  const spambayes::ClassifierOptions& built = frontend.base_table().options();
+  EXPECT_EQ(built.unknown_word_strength, 0.7);
+  EXPECT_EQ(built.unknown_word_prob, 0.45);
+  EXPECT_EQ(built.minimum_prob_strength, 0.2);
+  // An engine under other s, x or min strength refuses the table.
+  spambayes::ScoreEngine default_engine{spambayes::ClassifierOptions{}};
+  const spambayes::TokenIdList none;
+  EXPECT_THROW(default_engine.score_batch(
+                   frontend.base_table(), 1,
+                   [&](std::size_t) -> const spambayes::TokenIdList& {
+                     return none;
+                   },
+                   [](std::size_t, const spambayes::BatchScore&) {}),
+               InvalidArgument);
+  const std::vector<std::string> probes = make_messages(200, 84);
+  expect_matches_fresh_base(frontend, probes,
+                            serve_all(frontend, batches_of_8(probes, 1)));
 }
 
 }  // namespace
