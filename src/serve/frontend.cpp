@@ -119,7 +119,7 @@ ClassifyBatchResponse ServeFrontend::classify_batch(
 
   // One engine batch per request, on the calling thread's scratch. A null
   // overlay means the base filter IS this user's model: the batch reads
-  // the frontend's shared base table and fills no per-thread memo.
+  // the frontend's shared base table and builds no per-thread table.
   // Otherwise the engine scores base + overlay counts fresh.
   ClassifyBatchResponse response;
   response.results.resize(ids.size());

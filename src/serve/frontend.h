@@ -12,9 +12,10 @@
 //    calling thread's engine;
 //  * a user with an empty overlay classifies bit-identically to the base
 //    filter — the batch runs on the base's ScoreTable, built once by the
-//    constructor and shared by every thread, so served classify fills no
-//    per-thread memo. Ids interned after the table was built (by another
-//    user's train) have no base counts and read as the zero-count entry;
+//    constructor and shared by every thread, so served classify builds no
+//    per-thread engine table. Ids interned after the table was built (by
+//    another user's train) have no base counts and read as the zero-count
+//    entry;
 //  * a user whose overlay was trained on messages M classifies
 //    bit-identically to a standalone Filter copy trained on M — the batch
 //    runs on the engine's fresh source, whose exact 64-bit count sums give

@@ -8,10 +8,11 @@ namespace sbx::spambayes {
 namespace {
 
 /// The calling thread's engine for Classifier calls. It only runs the
-/// fresh source, so it never fills a memo. Kept apart from
+/// fresh source, so it never builds a table. Kept apart from
 /// ScoreEngine::for_current_thread: a Classifier with other options would
-/// otherwise rebind that engine and invalidate its memo, and a
-/// Filter::classify_batch sink could not call a Classifier safely.
+/// otherwise rebind that engine and drop its table, and a call from a
+/// Filter::classify_batch sink would overwrite the evidence scratch the
+/// batch's BatchScore aliases.
 ScoreEngine& fresh_engine(const ClassifierOptions& opts) {
   thread_local ScoreEngine engine;
   engine.rebind_options(opts);

@@ -8,7 +8,7 @@
 // Classifier holds no scoring logic of its own. Its score_ids methods
 // forward to ScoreEngine's fresh source (score_engine.h), the one
 // implementation of delta(E) selection and the Fisher combination, on a
-// per-thread engine kept apart from the memoizing one Filter uses. They
+// per-thread engine kept apart from the one Filter uses. They
 // score interned id arrays against one database or the virtual merge of a
 // base database and an overlay; evidence carries ids, whose spellings
 // TokenInterner::spelling resolves. The types and verdict cutoffs every
@@ -56,8 +56,9 @@ struct ScoreIdResult {
 };
 
 /// Stateless scorer over a TokenDatabase snapshot. Every scoring method
-/// forwards to ScoreEngine::score_fresh, so repeated calls never touch a
-/// memo (use Filter::classify_ids or a ScoreEngine for warm loops).
+/// forwards to ScoreEngine::score_fresh, so repeated calls never build a
+/// score table (use Filter::classify_ids or a ScoreEngine for long
+/// loops).
 class Classifier {
  public:
   explicit Classifier(ClassifierOptions opts = {});

@@ -58,17 +58,16 @@ class Filter {
   void untrain_spam_ids(const TokenIdSet& ids, std::uint32_t copies = 1);
 
   /// Scores and labels a message: message_token_ids() scored by the
-  /// Classifier's fresh source, so it fills no memo and leaves the calling
-  /// thread's memoizing engine bound as it was.
+  /// Classifier's fresh source, so it neither counts towards nor builds
+  /// the calling thread's engine table.
   ScoreIdResult classify(const email::Message& msg) const;
 
   /// Scores a pre-interned message — bit-identical to classify(msg) on the
   /// message the ids came from. Routed through the calling thread's
-  /// ScoreEngine (see score_engine.h): per-token probabilities
-  /// and Fisher log-terms are memoized per database generation, so
-  /// repeated classification against an unchanged database skips the
-  /// libm transcendentals entirely. Safe to call on a shared const Filter
-  /// from any number of threads (one engine per thread).
+  /// ScoreEngine (see score_engine.h), which reads a ScoreTable of this
+  /// database generation once the lookups against it have paid for one.
+  /// Safe to call on a shared const Filter from any number of threads (one
+  /// engine per thread).
   ScoreIdResult classify_ids(const TokenIdSet& ids) const;
 
   /// Zero-allocation batch classify: scores ids_of(i) for i in

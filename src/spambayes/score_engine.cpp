@@ -49,7 +49,7 @@ std::pair<double, double> log_terms(double f) {
   return {std::log(clamped), std::log1p(-clamped)};
 }
 
-/// The one computation behind the table's and the memo's TokenScores.
+/// One distinct count pair's TokenScore in a ScoreTable.
 TokenScore token_score(double spam, double ham, double ns, double nh,
                        const ClassifierOptions& opts) {
   TokenScore out;
@@ -116,18 +116,11 @@ std::size_t ScoreTable::bytes() const {
 ScoreEngine::ScoreEngine(ClassifierOptions opts) : opts_(opts) {}
 
 void ScoreEngine::rebind_options(const ClassifierOptions& opts) {
-  if (!same_token_scores(opts, opts_)) ++epoch_;
-  opts_ = opts;
-}
-
-void ScoreEngine::bind(const TokenDatabase& db) {
-  const std::uint64_t gen = db.generation();
-  if (gen != generation_) {
-    generation_ = gen;
-    ns_ = db.spam_count();
-    nh_ = db.ham_count();
-    ++epoch_;
+  if (!same_token_scores(opts, opts_)) {
+    table_.reset();
+    fresh_generation_ = 0;  // the next call starts counting afresh
   }
+  opts_ = opts;
 }
 
 void ScoreEngine::check_generation(const TokenDatabase& db,
@@ -145,23 +138,6 @@ void ScoreEngine::check_options(const ClassifierOptions& table) const {
         "ScoreEngine::score_batch: ScoreTable was built under other s, x "
         "or minimum_prob_strength than the engine's options");
   }
-}
-
-const ScoreEngine::MemoSlot& ScoreEngine::memo_for(const TokenDatabase& db,
-                                                   TokenId id) {
-  if (id >= memo_.size()) {
-    memo_.resize(std::max<std::size_t>(id + 1, memo_.size() * 2));
-  }
-  MemoSlot& m = memo_[id];
-  if (m.epoch != epoch_) {
-    const TokenCounts c = db.counts(id);
-    m.score = token_score(c.spam, c.ham, ns_, nh_, opts_);
-    if (m.score.rank != 0) {
-      m.spell_prefix = spelling_prefix(global_interner().spelling(id));
-    }
-    m.epoch = epoch_;
-  }
-  return m;
 }
 
 template <typename Lookup, typename LogsOf>
@@ -238,28 +214,37 @@ void ScoreEngine::score_one(const TokenIdList& ids, Lookup&& lookup,
                                         opts_.spam_cutoff);
 }
 
-void ScoreEngine::score_memo(const TokenDatabase& db, const TokenIdList& ids,
-                             std::vector<TokenIdEvidence>& evidence,
-                             BatchScore& out) {
-  score_one(
-      ids,
-      [&](TokenId id) {
-        const MemoSlot& m = memo_for(db, id);
-        return Looked{m.score.f, m.score.rank, m.spell_prefix};
-      },
-      // The memo holds the same libm results log_terms() computes.
-      [&](const TokenIdEvidence& ev) {
-        const TokenScore& t = memo_[ev.id].score;
-        return std::pair{t.log_f, t.log_1mf};
-      },
-      evidence, out);
+void ScoreEngine::score_db(const TokenDatabase& db, const TokenIdList& ids,
+                           std::size_t upcoming,
+                           std::vector<TokenIdEvidence>& evidence,
+                           BatchScore& out) {
+  if (db.generation() != fresh_generation_) {
+    // Another database state: a table of the old one is stale, and the
+    // new one has served no lookups yet.
+    table_.reset();
+    fresh_generation_ = db.generation();
+    fresh_ids_ = 0;
+  }
+  // Rent or buy: a build walks and allocates db.id_range() entries, so
+  // build once the fresh lookups against this generation, served and
+  // about to be, come to that many.
+  if (!table_ && fresh_ids_ + upcoming >= db.id_range()) {
+    table_.emplace(db, opts_);
+    ++tables_built_;
+  }
+  if (table_) {
+    score_table(*table_, ids, evidence, out);
+    return;
+  }
+  score_fresh_one(db, nullptr, ids, evidence, out);
+  fresh_ids_ += ids.size();
 }
 
 void ScoreEngine::score_table(const ScoreTable& table, const TokenIdList& ids,
                               std::vector<TokenIdEvidence>& evidence,
                               BatchScore& out) {
-  // An id at or past the table's range was interned after the table was
-  // built, so the table's database holds no count for it.
+  // An id at or past the table's range is past the highest id its
+  // database counts (perhaps interned after the build): zero counts.
   const std::size_t size = table.slots_.size();
   score_one(
       ids,
@@ -285,18 +270,21 @@ void ScoreEngine::score_table(const ScoreTable& table, const TokenIdList& ids,
 }
 
 void ScoreEngine::score_fresh_one(const TokenDatabase& base,
-                                  const TokenDatabase& overlay,
+                                  const TokenDatabase* overlay,
                                   const TokenIdList& ids,
                                   std::vector<TokenIdEvidence>& evidence,
                                   BatchScore& out) {
-  const double ns = wide_sum(base.spam_count(), overlay.spam_count());
-  const double nh = wide_sum(base.ham_count(), overlay.ham_count());
+  // No overlay reads as zero counts.
+  const bool has = overlay != nullptr;
+  const double ns =
+      wide_sum(base.spam_count(), has ? overlay->spam_count() : 0);
+  const double nh = wide_sum(base.ham_count(), has ? overlay->ham_count() : 0);
   const TokenInterner& interner = global_interner();
   score_one(
       ids,
       [&](TokenId id) {
         const TokenCounts b = base.counts(id);
-        const TokenCounts o = overlay.counts(id);
+        const TokenCounts o = has ? overlay->counts(id) : TokenCounts{};
         const double f = detail::score_from_counts(
             wide_sum(b.spam, o.spam), wide_sum(b.ham, o.ham), ns, nh, opts_);
         const std::uint64_t rank =
@@ -325,20 +313,16 @@ ScoreIdResult ScoreEngine::to_result(const TokenIdList& ids,
 
 ScoreIdResult ScoreEngine::score_ids(const TokenDatabase& db,
                                      const TokenIdList& ids) {
-  bind(db);
   return to_result(ids, [&](auto& evidence, BatchScore& out) {
-    score_memo(db, ids, evidence, out);
+    score_db(db, ids, ids.size(), evidence, out);
   });
 }
 
 ScoreIdResult ScoreEngine::score_fresh(const TokenDatabase& base,
                                        const TokenDatabase* overlay,
                                        const TokenIdList& ids) {
-  // The overlay of a fresh score with no overlay: all counts zero.
-  static const TokenDatabase empty;
   return to_result(ids, [&](auto& evidence, BatchScore& out) {
-    score_fresh_one(base, overlay != nullptr ? *overlay : empty, ids,
-                    evidence, out);
+    score_fresh_one(base, overlay, ids, evidence, out);
   });
 }
 

@@ -4,28 +4,34 @@
 // delta(E) selection of the strongest tokens and the Fisher/chi-square
 // combination into I(E). Classifier, Filter, the serving frontend and the
 // experiment loops all end in one selection/combine routine, which runs
-// over one of three per-token value sources:
+// over one of two per-token value sources:
 //
-//  * Table (score_batch over a ScoreTable): an immutable table of one
-//    database generation, built eagerly and shared by every thread. The
-//    serving frontend builds one for its base and scores users without an
-//    overlay through it: per id one slot load, then the slot's TokenScore
-//    ({f, log f, log1p(-f), sort rank}), stored once per distinct
-//    (NS(w), NH(w)) pair. Ids past the table's range read as zero counts.
-//  * Memoized (score_ids; score_batch without an overlay): the same
-//    TokenScore per id, filled lazily once per (token, database
-//    generation) into a per-thread vector. Experiments take it: their
-//    database changes at every fold train and RONI step, and a sweep
-//    interns far more tokens (attack dictionaries) than its test messages
-//    carry, so an eager rebuild would score ids nobody reads.
-//  * Fresh (score_fresh; score_batch with an overlay): f(w) from the
-//    64-bit sum of a base's and an overlay's counts, per message, with
-//    logs only for the <= max_discriminators selected tokens. It never
-//    reads, writes or invalidates the memo.
+//  * Table (a ScoreTable): an immutable table of one database generation
+//    under one s, x and minimum_prob_strength. Per id one slot load, then
+//    the slot's TokenScore ({f, log f, log1p(-f), sort rank}), stored once
+//    per distinct (NS(w), NH(w)) pair. Ids past the table's range read as
+//    zero counts. The serving frontend builds one for its base and passes
+//    it in (score_batch over a table), shared by every thread.
+//  * Fresh: f(w) from one database's counts, or from the 64-bit sum of a
+//    base's and an overlay's counts, per message, with logs only for the
+//    <= max_discriminators selected tokens. score_fresh and every batch
+//    with an overlay take it.
 //
-// All three run the same floating-point operations on the same inputs in
-// the same candidate order, so they agree bit for bit with each other and
-// with a database trained on base + overlay messages
+// A call over one database and no overlay (score_ids, score_ids_batch,
+// score_batch with a null overlay) picks its source by rent or buy: the
+// engine scores fresh and counts the ids it looks up against the
+// database's generation. Once that count plus the ids of the call at hand
+// (a batch's are known up front) reaches the database's id range
+// (TokenDatabase::id_range(), what a table build walks and allocates), it
+// builds its own table and reads it until the generation or the options
+// move. RONI's train / classify 25 / train never pays for a build; a
+// batch as long as the id range (a fold's test set) builds at its start.
+// A table's slots take at most 12 bytes per lookup served; nothing is
+// tuned.
+//
+// Both sources run the same floating-point operations on the same inputs
+// in the same candidate order, so they agree bit for bit with each other
+// and with a database trained on base + overlay messages
 // (tests/spambayes/interned_equivalence_test.cpp, EXPECT_EQ on doubles).
 //
 // Input order: a message is a set of distinct ids in any order. delta(E)
@@ -36,12 +42,10 @@
 // unsorted (Filter::message_known_token_ids).
 //
 // Invalidation: TokenDatabase::generation() is process-globally unique
-// per mutation, so `generation() == cached` proves the memo exact; any
-// train/untrain/merge/load moves it and the next memoized call refills
-// lazily. A ScoreTable is exact for the one generation it was built from
-// and is never refilled; a new generation needs a new table. A batch
-// scores one snapshot: mutating a database it reads from the sink throws
-// on the next message.
+// per mutation, so `generation() == table.generation()` proves a table
+// exact; any train/untrain/merge/load moves it, and the next call drops
+// the table and counts again. A batch scores one snapshot: mutating a
+// database it reads from the sink throws on the next message.
 //
 // Thread ownership: an engine is mutable scratch, one per thread.
 // for_current_thread() hands out a thread_local engine, which is what lets
@@ -50,6 +54,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -77,7 +82,7 @@ struct BatchScore {
 
 /// What the scorer needs of one token under fixed class totals and
 /// options: f(w), and for a discriminator its log pair and its sort rank.
-/// The table stores one per distinct count pair, the memo one per id.
+/// A ScoreTable stores one per distinct count pair.
 struct TokenScore {
   double f = 0.5;
   double log_f = 0.0;    // log(f); set only when rank != 0
@@ -98,7 +103,7 @@ struct TokenScore {
 class ScoreTable {
  public:
   /// Scores every id `db` holds a count for under `opts`' s, x and
-  /// minimum_prob_strength (the memo-relevant options).
+  /// minimum_prob_strength (the options a TokenScore depends on).
   ScoreTable(const TokenDatabase& db, const ClassifierOptions& opts);
 
   /// The generation of the database the table was built from.
@@ -126,17 +131,20 @@ class ScoreTable {
   std::vector<Slot> slots_;         // indexed by TokenId
 };
 
-/// The scorer. Owns the per-token memo and per-message scratch buffers.
+/// The scorer. Owns per-message scratch and at most one ScoreTable of its
+/// own (see the rent-or-buy rule above).
 class ScoreEngine {
  public:
   explicit ScoreEngine(ClassifierOptions opts = {});
 
   /// Scores one deduplicated id set (any order; evidence entries follow
-  /// the input order) against `db` through the memo.
+  /// the input order) against `db`, through this engine's table for db's
+  /// generation or fresh.
   ScoreIdResult score_ids(const TokenDatabase& db, const TokenIdList& ids);
 
   /// Scores `ids` against the summed counts of `base` and `overlay` (null:
-  /// `base` alone) on the fresh source, leaving the memo untouched.
+  /// `base` alone) on the fresh source, leaving the engine's table and
+  /// count alone.
   ScoreIdResult score_fresh(const TokenDatabase& base,
                             const TokenDatabase* overlay,
                             const TokenIdList& ids);
@@ -144,35 +152,43 @@ class ScoreEngine {
   /// Zero-allocation batch path: scores ids_of(i) for i in [0, count) and
   /// calls sink(i, const BatchScore&) for each. ids_of must return a
   /// reference to a TokenIdList (deduplicated ids, any order). With a
-  /// null `overlay` the batch runs on the memo over `base`; otherwise on
-  /// the fresh source over base + overlay. The databases are one snapshot
-  /// for the whole batch: mutating either from the sink throws
-  /// sbx::InvalidArgument on the next message (generation mismatch).
+  /// null `overlay` the batch reads the engine's table for base, which it
+  /// builds first if the batch's ids take the fresh count to base's id
+  /// range, or else scores fresh; with an overlay it scores fresh over
+  /// base + overlay. The databases are one snapshot for the whole batch:
+  /// mutating either from the sink throws sbx::InvalidArgument on the
+  /// next message (generation mismatch).
   template <typename GetIds, typename Sink>
   void score_batch(const TokenDatabase& base, const TokenDatabase* overlay,
                    std::size_t count, GetIds&& ids_of, Sink&& sink) {
-    if (overlay == nullptr) bind(base);
     const std::uint64_t base_generation = base.generation();
     const std::uint64_t overlay_generation =
         overlay != nullptr ? overlay->generation() : 0;
+    // The ids still to score, seen up front by the rent-or-buy rule.
+    std::size_t upcoming = 0;
+    for (std::size_t i = 0; overlay == nullptr && i < count; ++i) {
+      upcoming += ids_of(i).size();
+    }
     BatchScore out;
     for (std::size_t i = 0; i < count; ++i) {
       check_generation(base, base_generation);
       if (overlay == nullptr) {
-        score_memo(base, ids_of(i), evidence_, out);
+        const TokenIdList& ids = ids_of(i);
+        score_db(base, ids, upcoming, evidence_, out);
+        upcoming -= ids.size();
       } else {
         check_generation(*overlay, overlay_generation);
-        score_fresh_one(base, *overlay, ids_of(i), evidence_, out);
+        score_fresh_one(base, overlay, ids_of(i), evidence_, out);
       }
       sink(i, static_cast<const BatchScore&>(out));
     }
   }
 
-  /// The same batch path over a prebuilt table: it reads neither a
-  /// database nor the memo, so it leaves cached_generation() as it was.
-  /// Throws sbx::InvalidArgument when the table was built under other
-  /// memo-relevant options (s, x, minimum_prob_strength) than this
-  /// engine's; cutoffs and max_discriminators are the engine's.
+  /// The same batch path over a caller's prebuilt table: it reads no
+  /// database and leaves the engine's own table and count as they were.
+  /// Throws sbx::InvalidArgument when the table was built under another
+  /// s, x or minimum_prob_strength than this engine's; cutoffs and
+  /// max_discriminators are the engine's.
   template <typename GetIds, typename Sink>
   void score_batch(const ScoreTable& table, std::size_t count,
                    GetIds&& ids_of, Sink&& sink) {
@@ -194,17 +210,19 @@ class ScoreEngine {
         std::forward<Sink>(sink));
   }
 
-  /// Swaps the classifier options. Invalidates the memo only when a
-  /// memo-relevant parameter (s, x, minimum_prob_strength) actually
-  /// changed; cutoffs and max_discriminators apply at combine time and
-  /// cost nothing to swap.
+  /// Swaps the classifier options. Drops the engine's table and count only
+  /// when s, x or minimum_prob_strength actually changed; cutoffs and
+  /// max_discriminators apply at combine time and cost nothing to swap.
   void rebind_options(const ClassifierOptions& opts);
 
   const ClassifierOptions& options() const { return opts_; }
 
-  /// Generation of the last database this engine memoized (0 = none
-  /// yet). Exposed for tests of the invalidation contract.
-  std::uint64_t cached_generation() const { return generation_; }
+  /// Generation of the table this engine holds (0: none), and how many it
+  /// has built. Exposed for tests of the build and invalidation contract.
+  std::uint64_t cached_generation() const {
+    return table_ ? table_->generation() : 0;
+  }
+  std::uint64_t tables_built() const { return tables_built_; }
 
   /// The calling thread's engine, rebound to `opts`. Filter::classify_ids
   /// and Filter::classify_batch route through this, which keeps a shared
@@ -212,14 +230,6 @@ class ScoreEngine {
   static ScoreEngine& for_current_thread(const ClassifierOptions& opts);
 
  private:
-  /// A memo entry: exact for the bound (generation, options) pair iff
-  /// epoch == engine epoch. spell_prefix is set only when score.rank != 0.
-  struct MemoSlot {
-    TokenScore score;
-    std::uint64_t spell_prefix = 0;
-    std::uint64_t epoch = 0;  // 0 never matches (engine epochs start at 1)
-  };
-
   /// Sort key packing (distance desc, spelling-prefix asc) into one
   /// 128-bit integer: the high lane is the token's TokenScore::rank, the
   /// low lane the spelling's first 8 bytes as a big-endian integer.
@@ -235,9 +245,6 @@ class ScoreEngine {
     std::uint32_t index;  // into the message's evidence
   };
 
-  /// Re-syncs the memo to db's generation, invalidating it when it moved.
-  void bind(const TokenDatabase& db);
-
   /// Throws when db no longer matches the generation a batch bound.
   void check_generation(const TokenDatabase& db, std::uint64_t bound) const;
 
@@ -245,18 +252,17 @@ class ScoreEngine {
   /// minimum_prob_strength.
   void check_options(const ClassifierOptions& table) const;
 
-  /// The memo entry for `id`, filled on first use this epoch.
-  const MemoSlot& memo_for(const TokenDatabase& db, TokenId id);
-
-  /// Score one message into `evidence` (cleared first) and `out`, each
-  /// from one source: the memo over `db` (bind(db) first), the table, or
-  /// the fresh sum of base + overlay. All three end in score_one.
-  void score_memo(const TokenDatabase& db, const TokenIdList& ids,
-                  std::vector<TokenIdEvidence>& evidence, BatchScore& out);
+  /// Score one message into `evidence` (cleared first) and `out`.
+  /// score_db applies the rent-or-buy rule (`upcoming`: the ids the call
+  /// has still to score, this message's included); the others run one
+  /// source each. All end in score_one.
+  void score_db(const TokenDatabase& db, const TokenIdList& ids,
+                std::size_t upcoming, std::vector<TokenIdEvidence>& evidence,
+                BatchScore& out);
   void score_table(const ScoreTable& table, const TokenIdList& ids,
                    std::vector<TokenIdEvidence>& evidence, BatchScore& out);
   void score_fresh_one(const TokenDatabase& base,
-                       const TokenDatabase& overlay, const TokenIdList& ids,
+                       const TokenDatabase* overlay, const TokenIdList& ids,
                        std::vector<TokenIdEvidence>& evidence,
                        BatchScore& out);
 
@@ -273,11 +279,10 @@ class ScoreEngine {
   ScoreIdResult to_result(const TokenIdList& ids, ScoreInto&& score);
 
   ClassifierOptions opts_;
-  std::vector<MemoSlot> memo_;    // indexed by TokenId
-  std::uint64_t epoch_ = 1;       // bumped on every invalidation
-  std::uint64_t generation_ = 0;  // db generation the memo is exact for
-  double ns_ = 0.0;               // db.spam_count() as double, cached
-  double nh_ = 0.0;
+  std::optional<ScoreTable> table_;     // exact for its own generation
+  std::uint64_t fresh_generation_ = 0;  // generation fresh_ids_ counts for
+  std::size_t fresh_ids_ = 0;           // ids scored fresh against it
+  std::uint64_t tables_built_ = 0;
   // Per-message scratch, reused across the whole batch:
   std::vector<TokenIdEvidence> evidence_;
   std::vector<Candidate> candidates_;

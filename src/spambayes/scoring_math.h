@@ -2,8 +2,8 @@
 //
 // The single definition of Eq. 1-2 (per-token spam score smoothed toward
 // the prior) and of the delta(E) admission test. ScoreEngine (the only
-// scorer) evaluates them for its score table, its memo and fresh
-// base+overlay counts; the serving frontend uses them to check its
+// scorer) evaluates them for its score tables and for fresh counts of one
+// database or base + overlay; the serving frontend uses them to check its
 // lookup-only precondition, and the obfuscation attack to rank words the
 // interner may not hold.
 #pragma once

@@ -154,7 +154,7 @@ void TokenDatabase::remove(const TokenIdSet& ids, std::uint32_t copies,
   // Nothing may change if a token was never trained: a partial decrement
   // that then threw would change the contents without moving generation_,
   // breaking the "equal generation proves equal contents" invariant
-  // ScoreEngine's memoization rests on. update() undoes its writes when a
+  // ScoreEngine's score tables rest on. update() undoes its writes when a
   // check fails.
   const auto field = spam ? &TokenCounts::spam : &TokenCounts::ham;
   vocab_ -= update(

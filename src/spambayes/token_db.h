@@ -87,6 +87,11 @@ class TokenDatabase {
   /// Number of distinct tokens with nonzero counts.
   std::size_t vocabulary_size() const { return vocab_; }
 
+  /// One past the highest id the spine covers (spine length times
+  /// kLeafEntries): every id with counts is below it, and it is what a
+  /// walk over the counts (for_each_counted) visits. O(1).
+  std::size_t id_range() const { return spine_.size() * kLeafEntries; }
+
   /// Cache-invalidation stamp with a process-wide uniqueness guarantee:
   /// every mutation (train_*/untrain_*, merge, load) assigns a value drawn
   /// from one process-global monotonic counter, so *no two distinct
@@ -94,7 +99,7 @@ class TokenDatabase {
   /// copy IS the same state); the first mutation of either side moves the
   /// mutated one to a value never used before. Hence `generation() ==
   /// cached_generation` proves the contents are bit-identical to what was
-  /// cached — the invariant ScoreEngine's memoization rests on. No-op
+  /// cached — the invariant ScoreEngine's score tables rest on. No-op
   /// calls (copies == 0) do not bump.
   std::uint64_t generation() const { return generation_; }
 

@@ -1,21 +1,28 @@
-// Equivalence + invalidation suite for the generation-cached ScoreEngine:
+// Equivalence + table-contract suite for ScoreEngine:
 //
-//  * the memoized source (single-message and batch) is BIT-identical to
-//    the fresh source Classifier::score_ids forwards to (scores, evidence
+//  * every call over one database (single-message and batch, fresh and
+//    through the engine's own ScoreTable) is BIT-identical to the fresh
+//    source Classifier::score_ids forwards to (scores, evidence
 //    values/ordering/used flags, verdicts) — every comparison is EXPECT_EQ
 //    on doubles, never approximate. Both sources share one selection and
 //    combine routine; interned_equivalence_test holds each of them to an
 //    independent pre-interning reference;
-//  * the generation contract makes stale-cache reuse impossible: any
+//  * the rent-or-buy rule: an engine scores a database generation fresh
+//    until the ids it looked up, with those of the call at hand, reach the
+//    database's id range, then builds exactly one table for that
+//    generation before the call scores, and reads it;
+//  * the generation contract makes stale-table reuse impossible: any
 //    train/untrain/merge/load moves the database to a process-globally
-//    unique generation and the warm memo is refilled, so
-//    train -> score -> untrain -> score returns the pre-train bits;
+//    unique generation, the engine drops its table and counts again, so
+//    train -> score -> untrain -> score returns the pre-train bits; so does
+//    a change of s, x or minimum_prob_strength;
 //  * mutating the database from inside a batch sink throws (one batch =
-//    one snapshot);
+//    one snapshot), on the fresh side and on the table side;
 //  * one engine per thread reproduces the single-threaded bits at any
 //    thread count.
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +78,41 @@ void expect_bitwise_equal(const ScoreIdResult& expected,
   }
 }
 
+void expect_batch_equal(const ScoreIdResult& expected,
+                        const BatchScore& actual, const char* what) {
+  EXPECT_EQ(expected.score, actual.score) << what;
+  EXPECT_EQ(expected.spam_evidence, actual.spam_evidence) << what;
+  EXPECT_EQ(expected.ham_evidence, actual.ham_evidence) << what;
+  EXPECT_EQ(expected.tokens_used, actual.tokens_used) << what;
+  EXPECT_EQ(expected.verdict, actual.verdict) << what;
+  ASSERT_EQ(expected.evidence.size(), actual.evidence.size()) << what;
+  for (std::size_t j = 0; j < expected.evidence.size(); ++j) {
+    EXPECT_EQ(expected.evidence[j].id, actual.evidence[j].id) << what;
+    EXPECT_EQ(expected.evidence[j].score, actual.evidence[j].score) << what;
+    EXPECT_EQ(expected.evidence[j].used, actual.evidence[j].used) << what;
+  }
+}
+
+/// Scores `probes` round after round through score_ids until the engine
+/// holds a table for db's generation, holding every score to `reference`.
+/// Fails the test unless the table comes with the first call whose ids
+/// take the fresh lookups to the id range.
+void score_until_table(ScoreEngine& engine, const TokenDatabase& db,
+                       const std::vector<TokenIdSet>& probes,
+                       const Classifier& reference) {
+  std::size_t served = 0;
+  for (std::size_t i = 0; engine.cached_generation() != db.generation();
+       ++i) {
+    const TokenIdSet& probe = probes[i % probes.size()];
+    const bool must_build = served + probe.size() >= db.id_range();
+    expect_bitwise_equal(reference.score_ids(db, probe),
+                         engine.score_ids(db, probe), "towards the table");
+    ASSERT_TRUE(!must_build || engine.cached_generation() == db.generation())
+        << "no table after " << served << " ids";
+    served += probe.size();
+  }
+}
+
 // --- bitwise equivalence to Classifier::score_ids --------------------------
 
 TEST(ScoreEngine, SingleMessagePathMatchesClassifierBitwise) {
@@ -80,8 +122,8 @@ TEST(ScoreEngine, SingleMessagePathMatchesClassifierBitwise) {
   for (std::size_t i = 0; i < corpus.probes.size(); ++i) {
     const ScoreIdResult expected =
         classifier.score_ids(corpus.filter.database(), corpus.probes[i]);
-    // Score twice: the first call fills the memo, the second consumes it
-    // warm — both must carry the same bits as the uncached classifier.
+    // Score twice: both calls run fresh (40 probes are far below the id
+    // range) and must carry the same bits as the classifier.
     expect_bitwise_equal(
         expected, engine.score_ids(corpus.filter.database(), corpus.probes[i]),
         "cold");
@@ -137,6 +179,8 @@ TEST(ScoreEngine, TrainUntrainRoundTripRestoresPreTrainBits) {
   const TokenIdSet extra =
       corpus.filter.message_token_ids(generator().generate_spam(rng));
 
+  score_until_table(engine, corpus.filter.database(), corpus.probes,
+                    corpus.filter.classifier());
   std::vector<ScoreIdResult> before;
   for (const TokenIdSet& probe : corpus.probes) {
     before.push_back(engine.score_ids(corpus.filter.database(), probe));
@@ -145,8 +189,8 @@ TEST(ScoreEngine, TrainUntrainRoundTripRestoresPreTrainBits) {
   corpus.filter.train_spam_ids(extra, 3);
   const Classifier& classifier = corpus.filter.classifier();
   for (std::size_t i = 0; i < corpus.probes.size(); ++i) {
-    // The warm memo must not leak pre-train values into the poisoned
-    // database's scores...
+    // A table of the pre-train generation must not leak its values into
+    // the poisoned database's scores...
     expect_bitwise_equal(
         classifier.score_ids(corpus.filter.database(), corpus.probes[i]),
         engine.score_ids(corpus.filter.database(), corpus.probes[i]),
@@ -164,17 +208,16 @@ TEST(ScoreEngine, TrainUntrainRoundTripRestoresPreTrainBits) {
   }
 }
 
-TEST(ScoreEngine, LoadInvalidates) {
+TEST(ScoreEngine, LoadedDatabaseReusesNoTable) {
   EngineCorpus small(30, 4, 11);
   EngineCorpus big(90, 4, 12);
   ScoreEngine engine(small.filter.options().classifier);
-  // Warm the memo on the small database...
-  for (const TokenIdSet& probe : small.probes) {
-    engine.score_ids(small.filter.database(), probe);
-  }
+  // Build a table on the small database...
+  score_until_table(engine, small.filter.database(), small.probes,
+                    small.filter.classifier());
   // ...then score a freshly load()ed database with different contents:
-  // the loaded database carries a new generation, so no warm value may
-  // survive.
+  // the loaded database carries a new generation, so the table is dropped
+  // and the loaded one is scored fresh.
   std::stringstream stream;
   big.filter.database().save(stream);
   const TokenDatabase loaded = TokenDatabase::load(stream);
@@ -184,7 +227,11 @@ TEST(ScoreEngine, LoadInvalidates) {
   for (const TokenIdSet& probe : big.probes) {
     expect_bitwise_equal(classifier.score_ids(loaded, probe),
                          engine.score_ids(loaded, probe), "loaded db");
+    EXPECT_EQ(engine.cached_generation(), 0u);
   }
+  // And the loaded database earns a table of its own by the same rule.
+  score_until_table(engine, loaded, big.probes, classifier);
+  EXPECT_EQ(engine.tables_built(), 2u);
 }
 
 TEST(ScoreEngine, GenerationsAreProcessGloballyUnique) {
@@ -224,8 +271,8 @@ TEST(ScoreEngine, GenerationsAreProcessGloballyUnique) {
 
 TEST(ScoreEngine, FailedUntrainLeavesContentsAndGenerationUntouched) {
   // A throwing untrain must not change the database at all: a partial
-  // decrement without a generation bump would let a warm engine serve
-  // stale memoized values while believing the contents unchanged.
+  // decrement without a generation bump would let an engine read a stale
+  // table while believing the contents unchanged.
   const TokenId a = global_interner().intern("score-engine-test-token-a");
   const TokenId b = global_interner().intern("score-engine-test-token-b");
   const TokenId c = global_interner().intern("score-engine-test-token-c");
@@ -246,45 +293,231 @@ TEST(ScoreEngine, FailedUntrainLeavesContentsAndGenerationUntouched) {
 
 TEST(ScoreEngine, MutationDuringBatchThrows) {
   EngineCorpus corpus(40, 6, 21);
-  ScoreEngine engine(corpus.filter.options().classifier);
-  EXPECT_THROW(
-      engine.score_ids_batch(
-          corpus.filter.database(), corpus.probes,
-          [&](std::size_t i, const BatchScore&) {
-            if (i == 0) corpus.filter.train_spam_ids(corpus.probes[0]);
-          }),
-      InvalidArgument);
-  // Clean up the mutation so the filter is consistent for other asserts.
-  corpus.filter.untrain_spam_ids(corpus.probes[0]);
-  // The engine itself must recover: the next bind resynchronizes.
-  expect_bitwise_equal(
-      corpus.filter.classifier().score_ids(corpus.filter.database(),
-                                           corpus.probes[1]),
-      engine.score_ids(corpus.filter.database(), corpus.probes[1]),
-      "after recovery");
+  const TokenDatabase& db = corpus.filter.database();
+  const TokenIdSet& first = corpus.probes[0];
+  const auto mutate_in_sink = [&](ScoreEngine& engine) {
+    EXPECT_THROW(engine.score_ids_batch(db, corpus.probes,
+                                        [&](std::size_t i, const BatchScore&) {
+                                          if (i == 0) {
+                                            corpus.filter.train_spam_ids(first);
+                                          }
+                                        }),
+                 InvalidArgument);
+    // Clean up the mutation so the filter is consistent for other asserts.
+    corpus.filter.untrain_spam_ids(corpus.probes[0]);
+  };
+  // The fresh side: an engine that holds no table.
+  ScoreEngine fresh(corpus.filter.options().classifier);
+  mutate_in_sink(fresh);
+  EXPECT_EQ(fresh.tables_built(), 0u);
+  // The table side: an engine that reads its table for the batch's
+  // generation.
+  ScoreEngine tabled(corpus.filter.options().classifier);
+  score_until_table(tabled, db, corpus.probes, corpus.filter.classifier());
+  mutate_in_sink(tabled);
+  // Both engines recover: the next call scores the database as it is now.
+  for (ScoreEngine* engine : {&fresh, &tabled}) {
+    expect_bitwise_equal(
+        corpus.filter.classifier().score_ids(db, corpus.probes[1]),
+        engine->score_ids(db, corpus.probes[1]), "after recovery");
+  }
 }
 
-TEST(ScoreEngine, FreshSourceLeavesTheMemoAlone) {
-  // Scoring another database (or base + overlay) fresh must not rebind or
-  // refill the memo a warm engine holds for its base.
+TEST(ScoreEngine, FreshSourceLeavesTheTableAlone) {
+  // Scoring another database (or base + overlay) fresh must neither drop
+  // nor rebuild the table an engine holds for its base, nor count towards
+  // one.
   EngineCorpus corpus(40, 6, 23);
   ScoreEngine engine(corpus.filter.options().classifier);
   const TokenDatabase& db = corpus.filter.database();
-  const ScoreIdResult warm = engine.score_ids(db, corpus.probes[0]);
-  const std::uint64_t bound = engine.cached_generation();
+  score_until_table(engine, db, corpus.probes, corpus.filter.classifier());
+  const ScoreIdResult tabled = engine.score_ids(db, corpus.probes[0]);
   TokenDatabase overlay;
   overlay.train_spam_ids(corpus.probes[1]);
-  engine.score_fresh(overlay, nullptr, corpus.probes[2]);
-  engine.score_batch(
-      db, &overlay, 2,
-      [&](std::size_t i) -> const TokenIdList& { return corpus.probes[i]; },
-      [](std::size_t, const BatchScore&) {});
-  EXPECT_EQ(engine.cached_generation(), bound);
-  expect_bitwise_equal(warm, engine.score_ids(db, corpus.probes[0]),
-                       "memo after fresh scoring");
+  for (int round = 0; round < 3; ++round) {
+    engine.score_fresh(overlay, nullptr, corpus.probes[2]);
+    engine.score_fresh(db, &overlay, corpus.probes[2]);
+    engine.score_batch(
+        db, &overlay, 2,
+        [&](std::size_t i) -> const TokenIdList& { return corpus.probes[i]; },
+        [](std::size_t, const BatchScore&) {});
+  }
+  EXPECT_EQ(engine.cached_generation(), db.generation());
+  EXPECT_EQ(engine.tables_built(), 1u);
+  expect_bitwise_equal(tabled, engine.score_ids(db, corpus.probes[0]),
+                       "table after fresh scoring");
+}
+
+// --- the rent-or-buy rule ---------------------------------------------------
+
+TEST(ScoreEngine, BuildsOneTableOnceFreshLookupsReachTheIdRange) {
+  EngineCorpus corpus(60, 40, 41);
+  const TokenDatabase& db = corpus.filter.database();
+  const Classifier& classifier = corpus.filter.classifier();
+  ASSERT_GT(db.id_range(), 0u);
+  EXPECT_EQ(db.id_range() % TokenDatabase::kLeafEntries, 0u);
+  ScoreEngine engine(corpus.filter.options().classifier);
+
+  // (a) A batch whose ids stay below the id range scores fresh and builds
+  // nothing.
+  std::vector<TokenIdSet> few;
+  std::size_t few_ids = 0;
+  for (const TokenIdSet& probe : corpus.probes) {
+    if (few_ids + probe.size() >= db.id_range() / 2) break;
+    few.push_back(probe);
+    few_ids += probe.size();
+  }
+  ASSERT_FALSE(few.empty());
+  engine.score_ids_batch(db, few, [&](std::size_t i, const BatchScore& s) {
+    expect_batch_equal(classifier.score_ids(db, few[i]), s, "below range");
+  });
+  EXPECT_EQ(engine.cached_generation(), 0u);
+  EXPECT_EQ(engine.tables_built(), 0u);
+
+  // A batch just too short to take the count to the range still scores
+  // fresh.
+  std::vector<TokenIdSet> short_of;
+  std::size_t short_ids = few_ids;
+  for (std::size_t i = 0;; ++i) {
+    const TokenIdSet& probe = corpus.probes[i % corpus.probes.size()];
+    if (short_ids + probe.size() >= db.id_range()) break;
+    short_of.push_back(probe);
+    short_ids += probe.size();
+  }
+  engine.score_ids_batch(db, short_of, [&](std::size_t i, const BatchScore& s) {
+    expect_batch_equal(classifier.score_ids(db, short_of[i]), s, "short");
+  });
+  EXPECT_EQ(engine.cached_generation(), 0u);
+  EXPECT_EQ(engine.tables_built(), 0u);
+
+  // Past it: the next batch takes the count to the range, so the engine
+  // builds exactly one table before the batch's first message and reads
+  // it for every message; later calls reuse it.
+  std::vector<TokenIdSet> many;
+  for (std::size_t total = short_ids; total < db.id_range();) {
+    many.push_back(corpus.probes[many.size() % corpus.probes.size()]);
+    total += many.back().size();
+  }
+  engine.score_ids_batch(db, many, [&](std::size_t i, const BatchScore& s) {
+    expect_batch_equal(classifier.score_ids(db, many[i]), s, "past range");
+    EXPECT_EQ(engine.cached_generation(), db.generation()) << "message " << i;
+  });
+  EXPECT_EQ(engine.cached_generation(), db.generation());
+  EXPECT_EQ(engine.tables_built(), 1u);
+  for (const TokenIdSet& probe : corpus.probes) {
+    expect_bitwise_equal(classifier.score_ids(db, probe),
+                         engine.score_ids(db, probe), "table");
+  }
+  EXPECT_EQ(engine.tables_built(), 1u);
+}
+
+TEST(ScoreEngine, TrainRestartsTheCountAndReusesNoStaleTable) {
+  EngineCorpus corpus(50, 30, 43);
+  const Classifier& classifier = corpus.filter.classifier();
+  ScoreEngine engine(corpus.filter.options().classifier);
+  score_until_table(engine, corpus.filter.database(), corpus.probes,
+                    classifier);
+  const std::uint64_t first = corpus.filter.database().generation();
+  EXPECT_EQ(engine.cached_generation(), first);
+
+  // (b) After a train, the next call reads no stale table: the old one is
+  // dropped, the count restarts, and the new generation is scored fresh.
+  util::Rng rng(44);
+  corpus.filter.train_spam_ids(
+      corpus.filter.message_token_ids(generator().generate_spam(rng)));
+  const TokenDatabase& db = corpus.filter.database();
+  ASSERT_NE(db.generation(), first);
+  expect_bitwise_equal(classifier.score_ids(db, corpus.probes[0]),
+                       engine.score_ids(db, corpus.probes[0]), "after train");
+  EXPECT_EQ(engine.cached_generation(), 0u);
+  EXPECT_EQ(engine.tables_built(), 1u);
+
+  // A batch long enough builds the new generation's table...
+  std::vector<TokenIdSet> many;
+  std::size_t many_ids = 0;
+  while (many_ids < db.id_range()) {
+    many.push_back(corpus.probes[many.size() % corpus.probes.size()]);
+    many_ids += many.back().size();
+  }
+  engine.score_ids_batch(db, many, [&](std::size_t i, const BatchScore& s) {
+    expect_batch_equal(classifier.score_ids(db, many[i]), s, "new gen");
+  });
+  EXPECT_EQ(engine.cached_generation(), db.generation());
+  EXPECT_EQ(engine.tables_built(), 2u);
+  // ...and a single score_ids after it reads that table.
+  expect_bitwise_equal(classifier.score_ids(db, corpus.probes[1]),
+                       engine.score_ids(db, corpus.probes[1]), "single");
+  EXPECT_EQ(engine.cached_generation(), db.generation());
+  EXPECT_EQ(engine.tables_built(), 2u);
+}
+
+TEST(ScoreEngine, IdsInternedAfterTheTableReadAsZeroCounts) {
+  EngineCorpus corpus(40, 20, 45);
+  const TokenDatabase& db = corpus.filter.database();
+  // (d) Under the default x a zero-count token is never a discriminator;
+  // under x = 0.8 it is, so the out-of-range ids also take the spelling
+  // prefix path of the selection.
+  ClassifierOptions strong_unknown;
+  strong_unknown.unknown_word_prob = 0.8;
+  for (const ClassifierOptions& opts :
+       {ClassifierOptions{}, strong_unknown}) {
+    const Classifier classifier(opts);
+    ScoreEngine engine(opts);
+    score_until_table(engine, db, corpus.probes, classifier);
+    const std::uint64_t built = engine.tables_built();
+    // Fresh ids past every id the table covers, mixed into a probe.
+    TokenIdSet probe = corpus.probes[0];
+    for (int k = 0; k < 12; ++k) {
+      probe.push_back(global_interner().intern(
+          "score-engine-test-late-" + std::to_string(opts.unknown_word_prob) +
+          "-" + std::to_string(k)));
+    }
+    std::sort(probe.begin(), probe.end());
+    expect_bitwise_equal(classifier.score_ids(db, probe),
+                         engine.score_ids(db, probe), "late ids");
+    EXPECT_EQ(engine.cached_generation(), db.generation());
+    EXPECT_EQ(engine.tables_built(), built);
+  }
 }
 
 // --- options rebinding ------------------------------------------------------
+
+TEST(ScoreEngine, RebindingTokenScoreOptionsDropsTheTable) {
+  EngineCorpus corpus(50, 8, 31);
+  const TokenDatabase& db = corpus.filter.database();
+  const Classifier default_classifier{ClassifierOptions{}};
+  ClassifierOptions cutoffs;
+  cutoffs.ham_cutoff = 0.1;
+  cutoffs.spam_cutoff = 0.95;
+  ClassifierOptions strict;
+  strict.minimum_prob_strength = 0.3;
+  ClassifierOptions smooth;
+  smooth.unknown_word_strength = 0.8;
+  ClassifierOptions prior;
+  prior.unknown_word_prob = 0.45;
+
+  ScoreEngine engine;
+  score_until_table(engine, db, corpus.probes, default_classifier);
+  // (c) Cutoffs apply at combine time: the table stays.
+  engine.rebind_options(cutoffs);
+  EXPECT_EQ(engine.cached_generation(), db.generation());
+  expect_bitwise_equal(Classifier(cutoffs).score_ids(db, corpus.probes[0]),
+                       engine.score_ids(db, corpus.probes[0]), "cutoffs");
+  EXPECT_EQ(engine.tables_built(), 1u);
+  // Each of minimum_prob_strength, s and x drops it; the engine then
+  // scores fresh under the new options and earns a new table.
+  std::uint64_t built = 1;
+  for (const ClassifierOptions& opts : {strict, smooth, prior}) {
+    engine.rebind_options(opts);
+    EXPECT_EQ(engine.cached_generation(), 0u);
+    const Classifier classifier(opts);
+    expect_bitwise_equal(classifier.score_ids(db, corpus.probes[1]),
+                         engine.score_ids(db, corpus.probes[1]), "rebound");
+    EXPECT_EQ(engine.cached_generation(), 0u);
+    score_until_table(engine, db, corpus.probes, classifier);
+    EXPECT_EQ(engine.tables_built(), ++built);
+  }
+}
 
 TEST(ScoreEngine, ThreadEngineTracksOptionChanges) {
   EngineCorpus corpus(50, 8, 31);
@@ -293,20 +526,24 @@ TEST(ScoreEngine, ThreadEngineTracksOptionChanges) {
   strict.unknown_word_strength = 0.8;
   const Classifier strict_classifier(strict);
   const Classifier default_classifier{ClassifierOptions{}};
-  for (const TokenIdSet& probe : corpus.probes) {
-    // Alternate options through the shared thread engine: each rebind
-    // must invalidate the memoized probabilities/flags.
+  const TokenDatabase& db = corpus.filter.database();
+  // Alternate options through the shared thread engine, many rounds so
+  // that either side would reach the id range if a rebind kept its count:
+  // each rebind must drop the other options' table and count.
+  std::size_t served = 0;
+  for (std::size_t round = 0; served <= db.id_range(); ++round) {
+    const TokenIdSet& probe = corpus.probes[round % corpus.probes.size()];
+    served += probe.size();
+    expect_bitwise_equal(default_classifier.score_ids(db, probe),
+                         ScoreEngine::for_current_thread(ClassifierOptions{})
+                             .score_ids(db, probe),
+                         "default opts");
     expect_bitwise_equal(
-        default_classifier.score_ids(corpus.filter.database(), probe),
-        ScoreEngine::for_current_thread(ClassifierOptions{})
-            .score_ids(corpus.filter.database(), probe),
-        "default opts");
-    expect_bitwise_equal(
-        strict_classifier.score_ids(corpus.filter.database(), probe),
-        ScoreEngine::for_current_thread(strict).score_ids(
-            corpus.filter.database(), probe),
+        strict_classifier.score_ids(db, probe),
+        ScoreEngine::for_current_thread(strict).score_ids(db, probe),
         "strict opts");
   }
+  EXPECT_EQ(ScoreEngine::for_current_thread(strict).cached_generation(), 0u);
 }
 
 // --- thread-count equivalence ----------------------------------------------
