@@ -86,6 +86,9 @@ struct GeneratorConfig {
   std::size_t last_name_pool = 150;
   std::size_t company_pool = 60;
   std::size_t spam_domain_pool = 400;
+
+  /// Equal configs build generators that emit equal messages.
+  bool operator==(const GeneratorConfig&) const = default;
 };
 
 /// Deterministic synthetic corpus source. Thread-safe for concurrent reads

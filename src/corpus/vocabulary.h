@@ -46,6 +46,8 @@ struct LexiconSizes {
   std::size_t aspell = 98'568;   // GNU Aspell en 6.0-0 word count
   std::size_t usenet = 90'000;   // top-ranked Usenet words used in the attack
   std::size_t overlap = 61'000;  // |Aspell intersection Usenet| per §4.2
+
+  bool operator==(const LexiconSizes&) const = default;
 };
 
 /// The three word lists the attacks and the generator share.

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "core/attack_math.h"
+#include "eval/corpus_pool.h"
 #include "eval/experiments.h"
 #include "eval/runner.h"
 
@@ -39,16 +40,17 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   Runner runner(config.seed, config.threads);
 
   // Pool sized so each fold trains on ~training_set_size messages:
-  // train = pool * (K-1)/K.
+  // train = pool * (K-1)/K. Configurations in flight together that sample
+  // an equal pool (a sweep over the attack axis) share one
+  // (corpus_pool.h); the corpus stream is not read again.
   const std::size_t pool_size =
       config.training_set_size * config.folds / (config.folds - 1);
-  util::Rng corpus_rng = runner.fork(1);
-  const corpus::Dataset dataset =
-      gen.sample_mailbox(pool_size, config.spam_fraction, corpus_rng);
+  const std::shared_ptr<const corpus::TokenizedDataset> pool =
+      tokenized_pool(gen, pool_size, config.spam_fraction, runner.fork(1),
+                     config.filter.tokenizer);
+  const corpus::TokenizedDataset& tokenized = *pool;
 
   const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
-  const corpus::TokenizedDataset tokenized =
-      corpus::tokenize_dataset(dataset, tokenizer);
   // §4.2 compares attack tokens against the tokens of the *training* inbox;
   // scale the pool-wide count (collected during tokenize_dataset — no
   // second tokenization pass) down to one fold's training share.

@@ -12,6 +12,14 @@
 // per-trial RNG streams are pre-forked from the master stream in program
 // order and results are merged in trial order, so thread count affects
 // wall-clock time only.
+//
+// Corpus pools: the dictionary, threshold and RONI drivers draw theirs
+// from runner.fork(1) through eval::tokenized_pool (corpus_pool.h), so
+// drivers in flight together that sample an equal pool (a sweep over the
+// attack axis) share one tokenized pool, built once. Equal keys give equal
+// pools, so sharing changes memory and CPU only, never results. The other
+// drivers sample their own: they reuse the corpus stream afterwards or
+// need the rendered messages.
 #pragma once
 
 #include <cstdint>
@@ -309,10 +317,5 @@ void train_on_indices(spambayes::Filter& filter,
 ConfusionMatrix classify_indices(const spambayes::Filter& filter,
                                  const corpus::TokenizedDataset& data,
                                  const std::vector<std::size_t>& indices);
-
-/// Total raw (with duplicates) token count of a dataset under a tokenizer —
-/// the denominator of the §4.2 token-ratio statistic.
-std::size_t raw_token_count(const corpus::Dataset& data,
-                            const spambayes::Tokenizer& tokenizer);
 
 }  // namespace sbx::eval

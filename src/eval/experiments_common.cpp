@@ -30,13 +30,4 @@ ConfusionMatrix classify_indices(const spambayes::Filter& filter,
   return matrix;
 }
 
-std::size_t raw_token_count(const corpus::Dataset& data,
-                            const spambayes::Tokenizer& tokenizer) {
-  std::size_t total = 0;
-  for (const auto& item : data.items) {
-    total += tokenizer.tokenize_ids(item.message).size();
-  }
-  return total;
-}
-
 }  // namespace sbx::eval

@@ -1,5 +1,6 @@
 // §5.1 driver: the RONI defense against dictionary-attack and non-attack
 // spam queries.
+#include "eval/corpus_pool.h"
 #include "eval/experiments.h"
 #include "eval/runner.h"
 
@@ -25,12 +26,11 @@ RoniExperimentResult run_roni_experiment(const corpus::TrecLikeGenerator& gen,
                                          const RoniExperimentConfig& config) {
   Runner runner(config.seed, config.threads);
 
-  util::Rng pool_rng = runner.fork(1);
-  const corpus::Dataset pool_dataset =
-      gen.sample_mailbox(config.pool_size, config.spam_fraction, pool_rng);
+  const std::shared_ptr<const corpus::TokenizedDataset> shared_pool =
+      tokenized_pool(gen, config.pool_size, config.spam_fraction,
+                     runner.fork(1), config.filter.tokenizer);
+  const corpus::TokenizedDataset& pool = *shared_pool;
   const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
-  const corpus::TokenizedDataset pool =
-      corpus::tokenize_dataset(pool_dataset, tokenizer);
 
   const core::RoniDefense defense(config.roni, config.filter);
 

@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include "core/attack_math.h"
+#include "eval/corpus_pool.h"
 #include "eval/experiments.h"
 #include "eval/runner.h"
 
@@ -25,12 +26,11 @@ std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
 
   const std::size_t pool_size =
       base.training_set_size * base.folds / (base.folds - 1);
-  util::Rng corpus_rng = runner.fork(1);
-  const corpus::Dataset dataset =
-      gen.sample_mailbox(pool_size, base.spam_fraction, corpus_rng);
+  const std::shared_ptr<const corpus::TokenizedDataset> pool =
+      tokenized_pool(gen, pool_size, base.spam_fraction, runner.fork(1),
+                     base.filter.tokenizer);
+  const corpus::TokenizedDataset& tokenized = *pool;
   const spambayes::Tokenizer tokenizer(base.filter.tokenizer);
-  const corpus::TokenizedDataset tokenized =
-      corpus::tokenize_dataset(dataset, tokenizer);
   const spambayes::TokenIdSet attack_ids = spambayes::unique_token_ids(
       tokenizer.tokenize_ids(spec.message));
   const bool train_as_spam = spec.train_as == corpus::TrueLabel::spam;

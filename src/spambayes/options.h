@@ -55,6 +55,8 @@ struct TokenizerOptions {
 
   /// Emit "url:<component>" pseudo-tokens for http(s) URLs in the body.
   bool tokenize_urls = true;
+
+  bool operator==(const TokenizerOptions&) const = default;
 };
 
 /// Tokenizer presets modeling the filters the paper names (footnote 1:

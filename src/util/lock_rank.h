@@ -43,7 +43,9 @@
 //                                                   only; the shipper's
 //                                                   socket I/O runs
 //                                                   unlocked)
-//   kLeaf        TokenInterner::write_mutex_        nothing, ever
+//   kLeaf        TokenInterner::write_mutex_,       nothing, ever (the
+//                eval::PoolTable::mutex             pool table is never
+//                                                   held while interning)
 //
 // Why kThreadPool is the LOWEST rank even though pool internals are
 // leaf-like: pool workers execute arbitrary tasks, so a task must never

@@ -48,6 +48,9 @@ class Pcg32 {
   /// Advances the engine `n` steps in O(log n) (PCG jump-ahead).
   void advance(std::uint64_t n);
 
+  /// Equal engines produce equal sequences.
+  bool operator==(const Pcg32&) const = default;
+
  private:
   std::uint64_t state_;
   std::uint64_t inc_;
@@ -112,6 +115,10 @@ class Rng {
     if (v.empty()) throw InvalidArgument("Rng::choice: empty vector");
     return v[index(v.size())];
   }
+
+  /// Equal full state (engine, seed, fork counter): equal draws and equal
+  /// forks from here on.
+  bool operator==(const Rng&) const = default;
 
  private:
   explicit Rng(Pcg32 engine) : engine_(engine) {}

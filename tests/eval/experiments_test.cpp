@@ -268,7 +268,8 @@ TEST(Helpers, RawTokenCountCountsDuplicates) {
   corpus::Dataset d;
   d.items.push_back(
       {email::Message({}, "alpha alpha beta\n"), corpus::TrueLabel::ham});
-  EXPECT_EQ(raw_token_count(d, spambayes::Tokenizer()), 3u);
+  EXPECT_EQ(corpus::tokenize_dataset(d, spambayes::Tokenizer()).raw_tokens,
+            3u);
 }
 
 }  // namespace

@@ -246,11 +246,13 @@ int cmd_sweep(const std::string& name, const CliFlags& flags) {
       const std::string stem =
           experiment.name() + "_" + std::to_string(i);
       result.docs[i].write_json(*flags.out_dir + "/" + stem + ".json");
+      result.docs[i].write_csv(*flags.out_dir, stem);
     }
     const std::string summary_path =
         *flags.out_dir + "/" + experiment.name() + "_sweep.csv";
     result.summary().write_csv(summary_path);
-    std::printf("summary CSV written to %s; %zu ResultDoc JSONs in %s\n",
+    std::printf("summary CSV written to %s; %zu ResultDoc JSONs and their "
+                "CSV tables in %s\n",
                 summary_path.c_str(), result.docs.size(),
                 flags.out_dir->c_str());
   }
