@@ -11,7 +11,7 @@
 //
 // The attack takes a word list — typically the attacker's own campaign
 // vocabulary — and produces one canonical attack email, trained as ham in
-// `copies`. Evaluated by bench_ext_ham_labeled.
+// `copies`. Evaluated by `sbx_experiments figure ext_ham_labeled`.
 #pragma once
 
 #include <string>

@@ -1,14 +1,12 @@
 // Built-in eval::Experiment adapters: one registry entry per experiment
 // driver. Each adapter maps a validated Config onto the driver's config
 // struct, runs it, and packs the driver's result structs into a ResultDoc
-// whose table cells are formatted exactly as the legacy bench binaries
-// printed them — the benches now render these documents instead of
-// hand-rolling their own rows, and `sbx_experiments run/sweep` reuses the
-// same documents unchanged.
+// whose table cells are formatted exactly as the paper-shaped figures
+// print them: `sbx_experiments figure` renders these documents, and
+// `sbx_experiments run/sweep` reuses the same documents unchanged.
 //
-// The good-word and ham-labeled experiments previously lived only inside
-// bench_ext_* main()s; their measurement loops moved here so they are
-// runnable (and testable) through the registry like everything else.
+// The good-word and ham-labeled measurement loops live here too, so they
+// are runnable (and testable) through the registry like everything else.
 #include <algorithm>
 #include <cstdio>
 #include <memory>

@@ -28,9 +28,18 @@ SweepAxis parse_sweep_axis(std::string_view spec) {
 
 std::vector<Config> expand_sweep(const Config& base,
                                  const std::vector<SweepAxis>& axes) {
-  for (const auto& axis : axes) {
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    const SweepAxis& axis = axes[a];
     if (axis.values.empty()) {
       throw InvalidArgument("sweep axis '" + axis.key + "' has no values");
+    }
+    // A key on two axes would let the later axis overwrite the earlier
+    // one in every config: a grid of duplicates under misleading labels.
+    for (std::size_t b = 0; b < a; ++b) {
+      if (axes[b].key == axis.key) {
+        throw InvalidArgument("sweep axis key '" + axis.key +
+                              "' appears on more than one axis");
+      }
     }
     // Validate key and every value before expanding, so errors surface
     // once, before any trial runs.

@@ -193,8 +193,7 @@ TEST(ResultDoc, JsonEscapesAndStructure) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduced-scale registry runs of the extension drivers (previously only
-// reachable through bench_ext_* main()s).
+// Reduced-scale registry runs of the extension drivers.
 // ---------------------------------------------------------------------------
 
 TEST(RegistryRun, HamLabeledProducesCampaignTableAndMetrics) {

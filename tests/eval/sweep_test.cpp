@@ -3,7 +3,7 @@
 // byte-identical CSV/JSON at 1 vs 4 threads, including with nested
 // parallelism (sweep trials that themselves fan out folds on the shared
 // pool). The good-word and ham-labeled extension drivers run here at
-// reduced scale through the registry, which bench_ext_* never covered.
+// reduced scale through the registry.
 #include "eval/sweep.h"
 
 #include <gtest/gtest.h>
@@ -73,6 +73,17 @@ TEST(Sweep, RejectsUnknownAxisKeyAndBadValuesBeforeRunning) {
   EXPECT_THROW(
       expand_sweep(base, {{"probes", {"10", "abc"}}}),
       ParseError);
+}
+
+TEST(Sweep, RejectsAKeyRepeatedAcrossAxes) {
+  // Otherwise `--axis attack=usenet,optimal --axis attack=aspell` would
+  // expand to two identical aspell configs, both labelled aspell.
+  const Experiment& experiment = builtin_registry().get("ham-labeled");
+  const Config base = experiment.default_config();
+  EXPECT_THROW(expand_sweep(base, {{"probes", {"10", "20"}},
+                                   {"spam_fraction", {"0.4"}},
+                                   {"probes", {"30"}}}),
+               InvalidArgument);
 }
 
 TEST(Sweep, ProgressReportsEveryConfigInOrder) {

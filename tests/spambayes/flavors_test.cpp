@@ -74,7 +74,7 @@ TEST(Flavors, BogofilterKeepsLongWordsWhole) {
 }
 
 TEST(Flavors, BodyPoisonReachesHeaderEvidenceOnlyWhenUnprefixed) {
-  // The mechanism behind bench_ext_tokenizer_flavors: with unprefixed
+  // The mechanism behind figure ext_tokenizer_flavors: with unprefixed
   // headers, training a body-only email as spam also poisons the tokens a
   // victim's subject line produces.
   email::Message attack;  // body-only, per the contamination assumption

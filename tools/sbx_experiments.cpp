@@ -1,16 +1,21 @@
-// sbx_experiments — the single CLI over the experiment registry. Replaces
-// the per-figure bench main()s as the way to run any experiment or sweep:
+// sbx_experiments — the single CLI over the experiment registry and the
+// paper's figures:
 //
 //   sbx_experiments list
 //   sbx_experiments describe <experiment>
 //   sbx_experiments run <experiment> [key=value ...] [flags]
 //   sbx_experiments sweep <experiment> --axis key=v1,v2 [...] [key=value ...]
+//   sbx_experiments figure list
+//   sbx_experiments figure <figure> [flags]
 //
 // Shared flags:
-//   --quick             apply the experiment's reduced-scale overrides
+//   --quick             apply the reduced-scale overrides
 //   --threads=N         size the shared process pool (0 = hardware)
 //   --seed=S            override the "seed" config key (explicit 0 honored)
-//   --out-dir=DIR       write CSV tables + the JSON ResultDoc(s) to DIR
+//   --out-dir=DIR       write CSV tables (run/sweep: + JSON ResultDocs) to DIR
+//
+// A figure (tools/figures.cpp) takes no overrides: its configurations are
+// fixed.
 //
 // Sweeps execute whole configs as top-level trials on the shared pool —
 // the same pool the per-config fold loops use (run-inline-while-waiting,
@@ -25,6 +30,7 @@
 #include "eval/experiment.h"
 #include "eval/registry.h"
 #include "eval/sweep.h"
+#include "figures.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -51,16 +57,20 @@ int usage(FILE* to) {
                "  run <exp> [k=v ...]          run one config\n"
                "  sweep <exp> --axis k=v1,v2 [--axis ...] [k=v ...]\n"
                "                               run the axis cross-product\n"
+               "  figure list                  the paper's figures and tables\n"
+               "  figure <name>                run one figure: its table,\n"
+               "                               chart and CSV\n"
                "  attacks list                 all registered attacks with\n"
                "                               their taxonomy coordinates\n"
                "  attacks describe <attack>    taxonomy, threat model and\n"
                "                               parameter schema\n"
                "\n"
-               "flags (run/sweep):\n"
+               "flags (run/sweep/figure):\n"
                "  --quick          reduced-scale config for smoke runs\n"
                "  --threads=N      shared-pool size (0 = hardware)\n"
                "  --seed=S         override the seed key (explicit 0 ok)\n"
-               "  --out-dir=DIR    write CSV tables + JSON ResultDocs\n");
+               "  --out-dir=DIR    write CSV tables (run/sweep: + JSON\n"
+               "                   ResultDocs)\n");
   return to == stdout ? 0 : 2;
 }
 
@@ -289,14 +299,25 @@ int main(int argc, char** argv) {
       }
       return unknown_command("attacks command", sub);
     }
-    if (command == "run" || command == "sweep") {
+    if (command == "figure" && argc >= 3 &&
+        std::string(argv[2]) == "list") {
+      return sbx::tools::list_figures();
+    }
+    if (command == "run" || command == "sweep" || command == "figure") {
       if (argc < 3) return usage(stderr);
       const CliFlags flags =
           parse_cli(argc, argv, 3, /*allow_axes=*/command == "sweep");
+      if (command == "figure" && !flags.overrides.empty()) {
+        throw sbx::InvalidArgument("figure takes no key=value overrides");
+      }
       // Size the shared pool before anything borrows it; every Runner in
       // the process (sweep trials and per-config folds alike) uses it.
       if (flags.threads != 0) {
         sbx::util::ThreadPool::configure_shared(flags.threads);
+      }
+      if (command == "figure") {
+        return sbx::tools::run_figure(argv[2], flags.quick, flags.threads,
+                                      flags.seed, flags.out_dir);
       }
       return command == "run" ? cmd_run(argv[2], flags)
                               : cmd_sweep(argv[2], flags);

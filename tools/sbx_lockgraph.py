@@ -18,7 +18,8 @@ make the tree regular enough for this):
     acquires `m` internally (that is what the annotation promises);
   * SBX_REQUIRES(m) on a method — its body runs with `m` already held;
   * `MutexLock lock(expr)` scopes and annotated-method calls inside
-    method bodies, tracked against brace depth.
+    out-of-class method and free-function bodies, tracked against brace
+    depth; a receiver (`x.mutex`) resolves through its declared type.
 
 An edge A -> B means "some thread acquires B while holding A". Checks:
 
@@ -62,11 +63,14 @@ MUTEX_DECL_RE = re.compile(
     re.DOTALL)
 CONDVAR_DECL_RE = re.compile(r"\bCondVar\s+(\w+)\s*;")
 ANNOTATION_RE = re.compile(r"\bSBX_(EXCLUDES|REQUIRES)\s*\(([^)]*)\)")
-METHOD_DEF_RE = re.compile(r"\b(\w+)::(~?\w+)\s*\(")
+FUNCTION_DEF_RE = re.compile(r"\b(?:(\w+)::)?(~?\w+)\s*\(")
 MUTEX_LOCK_RE = re.compile(
     r"\bMutexLock\s+\w+\s*\(\s*((?:\w+\s*(?:\.|->)\s*)?\w+)\s*\)")
 CALL_NAME_RE = re.compile(r"(\w+)\s*\(")
 MEMBER_TYPE_RE_TEMPLATE = r"([\w:]+(?:<[^;{{}}]*>)?)\s*[*&]?\s+%s\s*[;{{=]"
+# A local variable or parameter: `Type& name = ...`, `Type name;`,
+# `Type* name)` and the like.
+LOCAL_TYPE_RE_TEMPLATE = r"([\w:]+(?:<[^;{{}}()]*>)?)\s*[*&]?\s+%s\s*[;{{=(,)]"
 
 CPP_KEYWORDS = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "new",
@@ -200,10 +204,12 @@ class Tree:
         self.ranks = {}            # "kShard" -> 30
         self.mutexes = {}          # (cls, member) -> MutexInfo
         self.condvar_members = set()
+        self.class_bodies = {}     # class name -> [body text, ...]
         self.acquires = {}         # method -> (cls, {member, ...})
         self.requires = {}         # (cls, method) -> {member, ...}
         self.ambiguous_methods = set()
         self.edges = {}            # (src MutexInfo, dst MutexInfo) -> [site]
+        self.sites = {}            # MutexInfo -> [site] of its MutexLocks
         self.warnings = []
 
     def mutex_in(self, cls, member):
@@ -245,6 +251,8 @@ def source_files(root):
 
 def collect_declarations(path, text, tree):
     extents = class_extents(text)
+    for start, end, name in extents:
+        tree.class_bodies.setdefault(name, []).append(text[start:end])
     rel = path
     for m in MUTEX_DECL_RE.finditer(text):
         cls = enclosing_class(extents, m.start())
@@ -341,27 +349,43 @@ def collect_annotations(path, text, tree):
             tree.requires[key] = tree.requires.get(key, set()) | members
 
 
-def member_type(text, extents, cls, member):
-    """Declared type of `member` in class `cls`, unwrapped of pointers /
-    references / smart pointers; None when not found."""
-    for start, end, name in extents:
-        if name != cls:
-            continue
-        body = text[start:end]
+def unwrap_type(t):
+    """The class name a declared type names, unwrapped of namespaces and
+    smart pointers."""
+    inner = re.search(r"<\s*([\w:]+)\s*>$", t)
+    if inner and re.search(r"\b(?:unique_ptr|shared_ptr)$",
+                           t[:t.index("<")]):
+        t = inner.group(1)
+    return t.split("::")[-1]
+
+
+def member_type(tree, cls, member):
+    """Declared type of `member` in class `cls` (declared in any file of
+    the tree), unwrapped of pointers / references / smart pointers; None
+    when not found."""
+    for body in tree.class_bodies.get(cls, ()):
         m = re.search(MEMBER_TYPE_RE_TEMPLATE % re.escape(member), body)
-        if m is None:
-            continue
-        t = m.group(1)
-        inner = re.search(r"<\s*([\w:]+)\s*>$", t)
-        if inner and re.search(r"\b(?:unique_ptr|shared_ptr)$",
-                               t[:t.index("<")]):
-            t = inner.group(1)
-        return t.split("::")[-1]
+        if m is not None:
+            return unwrap_type(m.group(1))
     return None
 
 
-def resolve_lock_expr(expr, cls, text, extents, tree):
-    """The MutexInfo a `MutexLock lock(expr)` acquires, or None."""
+def receiver_type(recv, cls, text, tree, scope_start, offset):
+    """Declared type of `recv` at `offset`: its latest local or parameter
+    declaration since `scope_start`, else its member declaration in
+    `cls`; None when neither is found or the type is `auto`."""
+    local = None
+    for m in re.finditer(LOCAL_TYPE_RE_TEMPLATE % re.escape(recv),
+                         text[scope_start:offset]):
+        local = m.group(1)
+    if local is not None and local not in ("auto", "return"):
+        return unwrap_type(local)
+    return member_type(tree, cls, recv) if cls else None
+
+
+def resolve_lock_expr(expr, cls, text, tree, scope_start, offset):
+    """The MutexInfo a `MutexLock lock(expr)` at `offset` acquires, or
+    None."""
     parts = re.split(r"\s*(?:\.|->)\s*", expr)
     member = parts[-1]
     if len(parts) == 1 or parts[0] == "this":
@@ -369,7 +393,8 @@ def resolve_lock_expr(expr, cls, text, extents, tree):
         if info is not None:
             return info
     else:
-        recv_type = member_type(text, extents, cls, parts[0]) if cls else None
+        recv_type = receiver_type(parts[0], cls, text, tree, scope_start,
+                                  offset)
         if recv_type is not None:
             info = tree.mutex_in(recv_type, member)
             if info is not None:
@@ -379,10 +404,24 @@ def resolve_lock_expr(expr, cls, text, extents, tree):
     return hits[0] if len(hits) == 1 else None
 
 
-def method_bodies(text):
-    """Yields (cls, method, body_start, body_end) for out-of-class
-    `Ret Class::method(...) ... {` definitions."""
-    for m in METHOD_DEF_RE.finditer(text):
+def function_bodies(text, extents):
+    """Yields (cls, name, signature_start, body_start, body_end) for
+    out-of-class `Class::method(...) {` definitions and namespace-scope
+    `function(...) {` ones (cls None); matches inside a body are not
+    definitions."""
+    covered_end = 0
+    for m in FUNCTION_DEF_RE.finditer(text):
+        if m.start() < covered_end:
+            continue
+        if m.group(1) is None:
+            # A free function: not a call (`x.f(`, `p->f(`; `ns::f(`
+            # matched with its qualifier), not a keyword, not inside a
+            # class.
+            if (m.group(2) in CPP_KEYWORDS
+                    or re.search(r"(?:\.|->|:)\s*$",
+                                 text[max(0, m.start() - 16):m.start()])
+                    or enclosing_class(extents, m.start()) is not None):
+                continue
         # Balance the parameter list.
         depth = 0
         i = m.end() - 1
@@ -407,12 +446,13 @@ def method_bodies(text):
         between = text[i + 1:j]
         if re.search(r"[^\w\s:&*,()<>\[\]{}.\-+=]", between):
             continue
-        yield m.group(1), m.group(2), j, matching_brace(text, j)
+        covered_end = matching_brace(text, j)
+        yield m.group(1), m.group(2), m.start(), j, covered_end
 
 
-def scan_body(path, text, extents, tree, cls, method, start, end):
+def scan_body(path, text, tree, cls, method, signature, start, end):
     """Walks one body, tracking MutexLock scopes + annotated calls, and
-    records edges held-lock -> acquired-lock."""
+    records edges held-lock -> acquired-lock (`signature`: its start)."""
     held = []  # [(depth, MutexInfo, pinned)] — pinned = REQUIRES seed
     for member in tree.requires.get((cls, method), ()):
         info = tree.mutex_in(cls, member)
@@ -436,10 +476,11 @@ def scan_body(path, text, extents, tree, cls, method, start, end):
             continue
         lock_m = MUTEX_LOCK_RE.match(text, i)
         if lock_m:
-            info = resolve_lock_expr(lock_m.group(1), cls, text, extents,
-                                     tree)
+            info = resolve_lock_expr(lock_m.group(1), cls, text, tree,
+                                     signature, i)
             site = "%s:%d" % (path, line_of(text, i))
             if info is not None:
+                tree.sites.setdefault(info, []).append(site)
                 for _, h, _ in held:
                     tree.add_edge(h, info, site)
                 held.append((depth, info, False))
@@ -475,7 +516,8 @@ def scan_body(path, text, extents, tree, cls, method, start, end):
                 elif chained or recv == "this":
                     ok = True
                 elif recv is not None:
-                    rtype = member_type(text, extents, cls, recv)
+                    rtype = receiver_type(recv, cls, text, tree, signature,
+                                          i)
                     # A receiver with a known NON-matching type (e.g. an
                     # std::ofstream member that happens to have a
                     # `flush` method) is not this annotated method.
@@ -514,15 +556,12 @@ def analyze(root):
     for rel, text in stripped.items():
         collect_annotations(rel, text, tree)
     for rel, text in stripped.items():
-        extents = class_extents(text)
-        for cls, method, start, end in method_bodies(text):
-            scan_body(rel, text, extents, tree, cls, method, start, end)
-        # REQUIRES methods defined inline in class bodies: scan the
-        # class extents too, seeding from the extent's class. Out-of-
-        # class bodies were already covered above; inline ones only
-        # matter when they hold MutexLock scopes, which the codebase's
-        # headers do not — this keeps them from silently dropping out
-        # if that changes.
+        for cls, name, signature, start, end in function_bodies(
+                text, class_extents(text)):
+            scan_body(rel, text, tree, cls, name, signature, start, end)
+        # Bodies defined inline in class bodies are not scanned; they
+        # would matter only if they held MutexLock scopes, which the
+        # codebase's headers do not.
     return tree
 
 
@@ -606,8 +645,10 @@ def run(root, dot_path=None, quiet=False):
     if dot_path:
         write_dot(tree, dot_path)
     if not quiet:
-        print("sbx_lockgraph: %d ranked mutex(es), %d acquisition "
-              "edge(s)" % (len(tree.mutexes), len(tree.edges)))
+        print("sbx_lockgraph: %d ranked mutex(es) locked at %d site(s), %d "
+              "acquisition edge(s)"
+              % (len(tree.mutexes), sum(map(len, tree.sites.values())),
+                 len(tree.edges)))
         for (src, dst), sites in sorted(tree.edges.items(),
                                         key=lambda kv: kv[1][0]):
             print("  %s -> %s   [%s]" % (src.qualified, dst.qualified,
@@ -641,6 +682,25 @@ def self_test():
     print("  good       %d edge(s), clean%s"
           % (len(edges), "" if good_rc == 0 else " FAILED"))
 
+    free_rc, free_tree, _ = run(os.path.join(fixtures, "free_function"),
+                                quiet=True)
+    free_sites = [site for (s, d), sites in free_tree.edges.items()
+                  if (s.qualified, d.qualified)
+                  == ("Registry::mutex", "Journal::mutex")
+                  for site in sites]
+    unresolved = [w for w in free_tree.warnings if "unresolved" in w]
+    if free_rc != 0:
+        failures.append("free_function fixture: expected clean, got "
+                        "violations")
+    if len(free_sites) != 2 or unresolved:
+        failures.append("free_function fixture: expected the Registry -> "
+                        "Journal edge from the free function and from the "
+                        "method, saw %s; warnings %s"
+                        % (free_sites, unresolved))
+    print("  free_function %d edge site(s), clean%s"
+          % (len(free_sites),
+             "" if free_rc == 0 and len(free_sites) == 2 else " FAILED"))
+
     cyc_rc, _, cyc_viol = run(os.path.join(fixtures, "cyclic"), quiet=True)
     if cyc_rc == 0 or not any("cycle" in v for v in cyc_viol):
         failures.append("cyclic fixture: expected an acquisition-cycle "
@@ -661,8 +721,9 @@ def self_test():
         for f in failures:
             print("SELF-TEST FAILURE: " + f, file=sys.stderr)
         return 1
-    print("sbx_lockgraph self-test: good fixture extracts and passes; "
-          "cyclic and inversion fixtures fail as they must")
+    print("sbx_lockgraph self-test: good and free_function fixtures "
+          "extract and pass; cyclic and inversion fixtures fail as they "
+          "must")
     return 0
 
 
