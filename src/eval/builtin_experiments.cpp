@@ -113,6 +113,38 @@ class ExperimentBase : public Experiment {
 // dictionary — Figure 1 (one attack variant per config).
 // ---------------------------------------------------------------------------
 
+/// The keys dictionary and threshold share, in schema order up to `folds`.
+void add_curve_keys(ConfigSchema& schema, const char* training_help,
+                    const char* default_fractions) {
+  schema
+      .add("training_set_size", ParamType::kUInt, "10000", training_help)
+      .add("spam_fraction", ParamType::kDouble, "0.5",
+           "spam share of the training set")
+      .add("attack", ParamType::kString, "usenet",
+           "registry attack crafting the poison (sbx_experiments attacks "
+           "list): optimal | usenet | aspell | informed | ham-labeled | "
+           "backdoor-trigger")
+      .add("attack_params", ParamType::kString, "", kAttackParamsHelp)
+      .add("dictionary_size", ParamType::kUInt, "0",
+           "truncate the dictionary to this many words (0 = full)")
+      .add("attack_fractions", ParamType::kDoubleList, default_fractions,
+           "attack strength as fraction of the final training set")
+      .add("folds", ParamType::kUInt, "10", "cross-validation folds");
+}
+
+/// The fold-walk parameters the keys of add_curve_keys set.
+DictionaryCurveConfig curve_config(const Config& config,
+                                   const RunContext& ctx) {
+  DictionaryCurveConfig dc;
+  dc.training_set_size = positive_uint(config, "training_set_size");
+  dc.spam_fraction = config.get_double("spam_fraction");
+  dc.attack_fractions = config.get_double_list("attack_fractions");
+  dc.folds = positive_uint(config, "folds");
+  dc.seed = config.get_uint("seed");
+  dc.threads = ctx.threads;
+  return dc;
+}
+
 class DictionaryExperiment : public ExperimentBase {
  public:
   DictionaryExperiment()
@@ -120,24 +152,10 @@ class DictionaryExperiment : public ExperimentBase {
             "dictionary",
             "dictionary-attack poisoning curve vs. percent control",
             "Figure 1 + Section 4.2 of Nelson et al. 2008") {
-    schema_
-        .add("training_set_size", ParamType::kUInt, "10000",
-             "clean training-set size (Table 1: 2,000 or 10,000)")
-        .add("spam_fraction", ParamType::kDouble, "0.5",
-             "spam share of the training set")
-        .add("attack", ParamType::kString, "usenet",
-             "registry attack crafting the poison (sbx_experiments attacks "
-             "list): optimal | usenet | aspell | informed | ham-labeled | "
-             "backdoor-trigger")
-        .add("attack_params", ParamType::kString, "",
-             kAttackParamsHelp)
-        .add("dictionary_size", ParamType::kUInt, "0",
-             "truncate the dictionary to this many words (0 = full)")
-        .add("attack_fractions", ParamType::kDoubleList,
-             "0.001,0.005,0.01,0.02,0.05,0.1",
-             "attack strength as fraction of the final training set")
-        .add("folds", ParamType::kUInt, "10", "cross-validation folds")
-        .add("seed", ParamType::kUInt, "20080401", "master RNG seed");
+    add_curve_keys(schema_,
+                   "clean training-set size (Table 1: 2,000 or 10,000)",
+                   "0.001,0.005,0.01,0.02,0.05,0.1");
+    schema_.add("seed", ParamType::kUInt, "20080401", "master RNG seed");
     add_tokenizer_axis(schema_);
   }
 
@@ -150,15 +168,8 @@ class DictionaryExperiment : public ExperimentBase {
     const corpus::TrecLikeGenerator generator;
     const auto [bound, spec] = resolve_attack(generator, config);
 
-    DictionaryCurveConfig dc;
-    dc.training_set_size =
-        positive_uint(config, "training_set_size");
-    dc.spam_fraction = config.get_double("spam_fraction");
-    dc.attack_fractions = config.get_double_list("attack_fractions");
-    dc.folds = positive_uint(config, "folds");
-    dc.seed = config.get_uint("seed");
+    DictionaryCurveConfig dc = curve_config(config, ctx);
     dc.filter = resolve_filter_options(config);
-    dc.threads = ctx.threads;
 
     ctx.note(strf("running %s attack vs. %zu-message training set, "
                   "%zu-fold CV...",
@@ -695,23 +706,9 @@ class ThresholdExperiment : public ExperimentBase {
       : ExperimentBase("threshold",
                        "dynamic threshold defense vs. the dictionary attack",
                        "Figure 5 + Section 5.2 of Nelson et al. 2008") {
+    add_curve_keys(schema_, "clean training-set size",
+                   "0.001,0.01,0.05,0.1");
     schema_
-        .add("training_set_size", ParamType::kUInt, "10000",
-             "clean training-set size")
-        .add("spam_fraction", ParamType::kDouble, "0.5",
-             "spam share of the training set")
-        .add("attack", ParamType::kString, "usenet",
-             "registry attack crafting the poison (sbx_experiments attacks "
-             "list): optimal | usenet | aspell | informed | ham-labeled | "
-             "backdoor-trigger")
-        .add("attack_params", ParamType::kString, "",
-             kAttackParamsHelp)
-        .add("dictionary_size", ParamType::kUInt, "0",
-             "truncate the dictionary to this many words (0 = full)")
-        .add("attack_fractions", ParamType::kDoubleList,
-             "0.001,0.01,0.05,0.1",
-             "attack strength as fraction of the final training set")
-        .add("folds", ParamType::kUInt, "10", "cross-validation folds")
         .add("utility_targets", ParamType::kDoubleList, "0.05,0.1",
              "defense variants: each t selects thresholds (t, 1-t)")
         .add("seed", ParamType::kUInt, "20080401", "master RNG seed");
@@ -731,26 +728,19 @@ class ThresholdExperiment : public ExperimentBase {
 
   ResultDoc run(const Config& config, const RunContext& ctx) const override {
     const corpus::TrecLikeGenerator generator;
-    const auto [bound, spec] = resolve_attack(generator, config);
+    auto [bound, spec] = resolve_attack(generator, config);
+    // Figure 5 reports no trigger measurement, so the walk skips it.
+    spec.trigger.clear();
 
-    ThresholdDefenseConfig tc;
-    tc.base.training_set_size =
-        positive_uint(config, "training_set_size");
-    tc.base.spam_fraction = config.get_double("spam_fraction");
-    tc.base.attack_fractions = config.get_double_list("attack_fractions");
-    tc.base.folds = positive_uint(config, "folds");
-    tc.base.seed = config.get_uint("seed");
-    tc.base.threads = ctx.threads;
+    DictionaryCurveConfig dc = curve_config(config, ctx);
     const std::vector<double> targets =
         config.get_double_list("utility_targets");
-    tc.variants.clear();
-    for (double t : targets) tc.variants.push_back({t, 1.0 - t});
+    for (double t : targets) dc.defense_variants.push_back({t, 1.0 - t});
 
     ctx.note(strf("running threshold defense vs. %s attack, "
                   "%zu-message training set, %zu-fold CV...",
-                  spec.name.c_str(), tc.base.training_set_size,
-                  tc.base.folds));
-    const auto points = run_threshold_defense_curve(generator, spec, tc);
+                  spec.name.c_str(), dc.training_set_size, dc.folds));
+    const DictionaryCurve curve = run_dictionary_curve(generator, spec, dc);
 
     ResultDoc doc = make_doc(config);
     tag_attack(doc, *bound.attack);
@@ -763,9 +753,9 @@ class ThresholdExperiment : public ExperimentBase {
     for (double t : targets) {
       series.push_back({variant_name(t) + " (ham misclassified, %)", {}, {}});
     }
-    for (const auto& p : points) {
+    for (const auto& p : curve.points) {
       auto add = [&](const std::string& variant, const ConfusionMatrix& m,
-                     double t0, double t1) {
+                     double t0, double t1, Series& line) {
         table.add_row({Table::cell(100.0 * p.attack_fraction, 1),
                        std::to_string(p.attack_messages), variant,
                        Table::cell(t0, 3), Table::cell(t1, 3),
@@ -773,31 +763,25 @@ class ThresholdExperiment : public ExperimentBase {
                        Table::cell(100.0 * m.ham_misclassified_rate(), 1),
                        Table::cell(100.0 * m.spam_as_unsure_rate(), 1),
                        Table::cell(100.0 * m.spam_as_ham_rate(), 1)});
+        line.x.push_back(100.0 * p.attack_fraction);
+        line.y.push_back(100.0 * m.ham_misclassified_rate());
       };
-      add("No Defense", p.no_defense, 0.15, 0.90);
-      series[0].x.push_back(100.0 * p.attack_fraction);
-      series[0].y.push_back(100.0 * p.no_defense.ham_misclassified_rate());
-      for (std::size_t vi = 0; vi < p.defended.size(); ++vi) {
-        add(variant_name(targets[vi % targets.size()]), p.defended[vi],
-            p.mean_thresholds[vi].theta0, p.mean_thresholds[vi].theta1);
-        if (vi + 1 < series.size()) {
-          series[vi + 1].x.push_back(100.0 * p.attack_fraction);
-          series[vi + 1].y.push_back(
-              100.0 * p.defended[vi].ham_misclassified_rate());
-        }
+      add("No Defense", p.matrix, 0.15, 0.90, series[0]);
+      for (std::size_t vi = 0; vi < targets.size(); ++vi) {
+        add(variant_name(targets[vi]), p.defended[vi],
+            p.mean_thresholds[vi].theta0, p.mean_thresholds[vi].theta1,
+            series[vi + 1]);
       }
     }
     doc.series = std::move(series);
-    if (!points.empty()) {
-      const auto& last = points.back();
-      doc.add_metric("final_no_defense_ham_misclassified_pct",
-                     100.0 * last.no_defense.ham_misclassified_rate());
-      if (!last.defended.empty()) {
-        doc.add_metric("final_defended_ham_misclassified_pct",
-                       100.0 * last.defended[0].ham_misclassified_rate());
-        doc.add_metric("final_defended_spam_as_unsure_pct",
-                       100.0 * last.defended[0].spam_as_unsure_rate());
-      }
+    const auto& last = curve.points.back();
+    doc.add_metric("final_no_defense_ham_misclassified_pct",
+                   100.0 * last.matrix.ham_misclassified_rate());
+    if (!last.defended.empty()) {
+      doc.add_metric("final_defended_ham_misclassified_pct",
+                     100.0 * last.defended[0].ham_misclassified_rate());
+      doc.add_metric("final_defended_spam_as_unsure_pct",
+                     100.0 * last.defended[0].spam_as_unsure_rate());
     }
     return doc;
   }
@@ -995,18 +979,9 @@ class GoodWordExperiment : public ExperimentBase {
     const std::size_t inbox_size =
         positive_uint(config, "inbox_size");
     util::Rng rng(config.get_uint("seed"));
-
-    corpus::Dataset inbox =
-        generator.sample_mailbox(inbox_size, config.get_double("spam_fraction"),
-                                 rng);
-    spambayes::Filter filter;
-    for (const auto& item : inbox.items) {
-      if (item.label == corpus::TrueLabel::spam) {
-        filter.train_spam(item.message);
-      } else {
-        filter.train_ham(item.message);
-      }
-    }
+    VictimInbox victim(generator, inbox_size,
+                       config.get_double("spam_fraction"), {}, rng);
+    spambayes::Filter& filter = victim.filter;
 
     // The attacker's evasion strategy comes from the registry: good-word
     // pads with the most common words of the victim's language — Wittel &
@@ -1120,19 +1095,8 @@ class HamLabeledExperiment : public ExperimentBase {
     util::Rng rng(config.get_uint("seed"));
 
     // Victim trains on a clean inbox.
-    corpus::Dataset inbox = generator.sample_mailbox(
-        inbox_size, config.get_double("spam_fraction"), rng);
-    spambayes::Tokenizer tokenizer;
-    corpus::TokenizedDataset tokenized =
-        corpus::tokenize_dataset(inbox, tokenizer);
-    spambayes::Filter base;
-    for (const auto& item : tokenized.items) {
-      if (item.label == corpus::TrueLabel::spam) {
-        base.train_spam_ids(item.ids);
-      } else {
-        base.train_ham_ids(item.ids);
-      }
-    }
+    const VictimInbox victim(generator, inbox_size,
+                             config.get_double("spam_fraction"), {}, rng);
 
     // The attack email comes from the registry's ham-labeled adapter: the
     // attacker's own campaign vocabulary (the generator's spam word list
@@ -1147,7 +1111,7 @@ class HamLabeledExperiment : public ExperimentBase {
     const std::optional<core::CanonicalPoison> poison =
         attack.canonical_poison(generator, attack_params, rng);
     const spambayes::TokenIdSet attack_ids =
-        spambayes::unique_token_ids(tokenizer.tokenize_ids(poison->message));
+        victim.filter.message_token_ids(poison->message);
 
     ResultDoc doc = make_doc(config);
     tag_attack(doc, attack);
@@ -1160,7 +1124,7 @@ class HamLabeledExperiment : public ExperimentBase {
     // be, i.e. by its marginal impact on ham classification).
     core::RoniDefense roni({}, {});
     util::Rng roni_rng = rng.fork(1);
-    auto assessment = roni.assess(attack_ids, tokenized, roni_rng);
+    auto assessment = roni.assess(attack_ids, victim.tokenized, roni_rng);
     doc.report.push_back(strf(
         "RONI-style impact of one attack email on ham-as-ham: %.2f "
         "(threshold %.1f) -> %s",
@@ -1179,7 +1143,7 @@ class HamLabeledExperiment : public ExperimentBase {
     double last_as_ham_pct = 0.0;
     double last_ham_ok_pct = 0.0;
     for (std::uint64_t copies : config.get_uint_list("copies")) {
-      spambayes::Filter filter = base;
+      spambayes::Filter filter = victim.filter;
       filter.train_ham_ids(attack_ids, static_cast<std::uint32_t>(copies));
       util::Rng probe_rng(991);  // identical probes per row
       std::size_t as_ham = 0, as_unsure = 0, ham_ok = 0;
@@ -1259,19 +1223,9 @@ class FocusedGuessingExperiment : public ExperimentBase {
         bound.attack->poison_label() == corpus::TrueLabel::spam;
 
     util::Rng rng(config.get_uint("seed"));
-    corpus::Dataset inbox = generator.sample_mailbox(
-        inbox_size, config.get_double("spam_fraction"), rng);
-    spambayes::Tokenizer tokenizer;
-    spambayes::Filter base;
-    std::vector<const email::Message*> spam_headers;
-    for (const auto& item : inbox.items) {
-      if (item.label == corpus::TrueLabel::spam) {
-        base.train_spam(item.message);
-        spam_headers.push_back(&item.message);
-      } else {
-        base.train_ham(item.message);
-      }
-    }
+    const VictimInbox victim(generator, inbox_size,
+                             config.get_double("spam_fraction"), {}, rng);
+    const spambayes::Tokenizer tokenizer;
 
     // The headline metrics report the LOWEST listed probability (where the
     // two guess models differ most); the list itself runs in given order.
@@ -1310,8 +1264,8 @@ class FocusedGuessingExperiment : public ExperimentBase {
               core::attackable_body_words(target, tokenizer);
           core::CraftContext cctx{generator,    params,      run_rng,
                                   attack_count, &target,     &body_words,
-                                  &spam_headers};
-          spambayes::Filter filter = base;
+                                  &victim.spam_headers};
+          spambayes::Filter filter = victim.filter;
           for (const auto& m : bound.attack->craft_poison(cctx)) {
             if (poison_spam) {
               filter.train_spam(m);

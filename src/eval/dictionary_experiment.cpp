@@ -4,7 +4,9 @@
 // historical driver, while ham-labeled specs (ham-labeled, backdoor)
 // train their copies as ham and, when the spec carries BadNets trigger
 // tokens, every test-fold spam is additionally re-classified with the
-// trigger stamped in.
+// trigger stamped in. Figure 5's dynamic-threshold defense rides the same
+// walk: each configured variant derives its thresholds per (fold,
+// fraction) and re-reads the fold's one set of scores under them.
 #include <algorithm>
 
 #include "core/attack_math.h"
@@ -81,18 +83,20 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   std::sort(fractions.begin(), fractions.end());
   fractions.insert(fractions.begin(), 0.0);
 
-  std::vector<ConfusionMatrix> per_fraction(fractions.size());
-  std::vector<util::RunningStats> fold_spread(fractions.size());
-  std::vector<ConfusionMatrix> per_fraction_triggered(fractions.size());
+  const std::vector<core::DynamicThresholdConfig>& variants =
+      config.defense_variants;
+  std::vector<DictionaryCurvePoint> points(fractions.size());
+  for (DictionaryCurvePoint& point : points) {
+    point.defended.resize(variants.size());
+    // Summed in fold order by the merge, divided by the fold count below.
+    point.mean_thresholds.assign(variants.size(), {0.0, 0.0});
+  }
 
-  struct FoldResult {
-    std::vector<ConfusionMatrix> plain;
-    std::vector<ConfusionMatrix> triggered;
-  };
-
+  // Each fold returns its own points, a one-fold curve. Only the defense
+  // draws from the fold stream (its validation splits).
   runner.map_reduce(
-      folds.size(), /*salt=*/100,
-      [&](std::size_t f, util::Rng&) {
+      folds.size(), /*salt=*/3000,
+      [&](std::size_t f, util::Rng& rng) {
         const corpus::FoldSplit& split = folds[f];
         spambayes::Filter filter(config.filter);
         train_on_indices(filter, tokenized, split.train);
@@ -112,10 +116,9 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
         }
 
         std::size_t trained_attack = 0;
-        FoldResult local;
-        local.plain.resize(fractions.size());
-        local.triggered.resize(fractions.size());
+        std::vector<DictionaryCurvePoint> local(fractions.size());
         for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
+          DictionaryCurvePoint& point = local[pi];
           const std::size_t want =
               core::attack_message_count(split.train.size(), fractions[pi]);
           if (want > trained_attack) {
@@ -128,7 +131,45 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
             }
             trained_attack = want;
           }
-          local.plain[pi] = classify_indices(filter, tokenized, split.test);
+
+          // Dynamic thresholds from a half/half split of the poisoned
+          // training set, derived before the test fold is scored.
+          // Ham-labeled poison is invisible to the derivation (it never
+          // sits in the spam folder the defense re-scores), so only
+          // spam-labeled copies form a batch.
+          point.defended.resize(variants.size());
+          point.mean_thresholds.resize(variants.size());
+          if (!variants.empty()) {
+            std::vector<core::SpamBatch> batches;
+            if (train_as_spam && trained_attack > 0) {
+              batches.emplace_back(
+                  attack_ids, static_cast<std::uint32_t>(trained_attack));
+            }
+            for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+              util::Rng split_rng = rng.fork(17 * (pi + 1) + vi);
+              point.mean_thresholds[vi] = core::compute_dynamic_thresholds(
+                  tokenized, split.train, batches, config.filter,
+                  variants[vi], split_rng);
+            }
+          }
+
+          // One scoring pass; every variant's cutoffs re-read its scores.
+          filter.classify_batch(
+              split.test.size(),
+              [&](std::size_t i) -> const spambayes::TokenIdList& {
+                return tokenized.items[split.test[i]].ids;
+              },
+              [&](std::size_t i, const spambayes::BatchScore& scored) {
+                const corpus::TrueLabel label =
+                    tokenized.items[split.test[i]].label;
+                point.matrix.add(label, scored.verdict);
+                for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+                  const core::ThresholdPair& cut = point.mean_thresholds[vi];
+                  point.defended[vi].add(
+                      label, spambayes::Classifier::verdict_for(
+                                 scored.score, cut.theta0, cut.theta1));
+                }
+              });
           if (has_trigger) {
             filter.classify_batch(
                 stamped.size(),
@@ -136,18 +177,26 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
                   return stamped[i];
                 },
                 [&](std::size_t i, const spambayes::BatchScore& scored) {
-                  local.triggered[pi].add(tokenized.items[spam_test[i]].label,
-                                          scored.verdict);
+                  point.triggered.add(tokenized.items[spam_test[i]].label,
+                                      scored.verdict);
                 });
           }
         }
         return local;
       },
-      [&](std::size_t, FoldResult local) {
+      [&](std::size_t, std::vector<DictionaryCurvePoint> local) {
         for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
-          per_fraction[pi].merge(local.plain[pi]);
-          fold_spread[pi].add(local.plain[pi].ham_misclassified_rate());
-          per_fraction_triggered[pi].merge(local.triggered[pi]);
+          DictionaryCurvePoint& point = points[pi];
+          const DictionaryCurvePoint& fold = local[pi];
+          point.matrix.merge(fold.matrix);
+          point.ham_misclassified_by_fold.add(
+              fold.matrix.ham_misclassified_rate());
+          point.triggered.merge(fold.triggered);
+          for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+            point.defended[vi].merge(fold.defended[vi]);
+            point.mean_thresholds[vi].theta0 += fold.mean_thresholds[vi].theta0;
+            point.mean_thresholds[vi].theta1 += fold.mean_thresholds[vi].theta1;
+          }
         }
       });
 
@@ -156,8 +205,9 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
   curve.dictionary_size = spec.payload_size;
   curve.has_trigger = has_trigger;
   const std::size_t train_size = folds.front().train.size();
+  const auto fold_count = static_cast<double>(folds.size());
   for (std::size_t pi = 0; pi < fractions.size(); ++pi) {
-    DictionaryCurvePoint point;
+    DictionaryCurvePoint& point = points[pi];
     point.attack_fraction = fractions[pi];
     point.attack_messages =
         core::attack_message_count(train_size, fractions[pi]);
@@ -167,11 +217,12 @@ DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
             : static_cast<double>(point.attack_messages *
                                   attack_tokens_per_message) /
                   static_cast<double>(clean_tokens);
-    point.matrix = per_fraction[pi];
-    point.ham_misclassified_by_fold = fold_spread[pi];
-    point.triggered = per_fraction_triggered[pi];
-    curve.points.push_back(std::move(point));
+    for (core::ThresholdPair& sum : point.mean_thresholds) {
+      sum.theta0 /= fold_count;
+      sum.theta1 /= fold_count;
+    }
   }
+  curve.points = std::move(points);
   return curve;
 }
 

@@ -94,11 +94,12 @@ class Experiment {
   Config default_config() const { return Config(&schema()); }
 };
 
-/// The one config-resolution policy shared by `sbx_experiments run/sweep`
-/// and the bench wrappers (which must stay byte-identical to the CLI):
-/// schema defaults, then the experiment's --quick overrides (if `quick`),
-/// then the "key=value" `overrides` in order, then `seed` onto the "seed"
-/// key (when present in the schema; an explicit 0 is honored).
+/// The one config-resolution policy shared by `sbx_experiments run`,
+/// `sweep` and `figure`, so a figure runs the config `run` would with the
+/// same overrides: schema defaults, then the experiment's --quick
+/// overrides (if `quick`), then the "key=value" `overrides` in order, then
+/// `seed` onto the "seed" key (when present in the schema; an explicit 0
+/// is honored).
 Config resolve_config(const Experiment& experiment, bool quick,
                       const std::vector<std::string>& overrides = {},
                       std::optional<std::uint64_t> seed = std::nullopt);

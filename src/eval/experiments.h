@@ -3,8 +3,9 @@
 // Experiment drivers regenerating every figure and table of the paper's
 // evaluation (§4-§5). Each driver owns the full pipeline — corpus sampling,
 // cross-validation, attack injection, measurement — and returns plain
-// result structs; the bench binaries only format them. Tests run the same
-// drivers at reduced scale.
+// result structs; the registry adapters (builtin_experiments.cpp) pack
+// them into ResultDocs for `sbx_experiments run/sweep/figure`. Tests run
+// the same drivers at reduced scale.
 //
 // Determinism: every driver forks all randomness from its config seed, and
 // parallelism (folds / repetitions across threads) never changes results.
@@ -13,13 +14,15 @@
 // order and results are merged in trial order, so thread count affects
 // wall-clock time only.
 //
-// Corpus pools: the dictionary, threshold and RONI drivers draw theirs
-// from runner.fork(1) through eval::tokenized_pool (corpus_pool.h), so
-// drivers in flight together that sample an equal pool (a sweep over the
-// attack axis) share one tokenized pool, built once. Equal keys give equal
-// pools, so sharing changes memory and CPU only, never results. The other
-// drivers sample their own: they reuse the corpus stream afterwards or
-// need the rendered messages.
+// Corpus pools: the dictionary and RONI drivers draw theirs from
+// runner.fork(1) through eval::tokenized_pool (corpus_pool.h), and so does
+// the threshold experiment, which is the dictionary walk with defense
+// variants. Drivers in flight together that sample an equal pool (a sweep
+// over the attack axis) share one tokenized pool, built once. Equal keys
+// give equal pools, so sharing changes memory and CPU only, never
+// results. The other drivers sample their own victim inbox (VictimInbox
+// below): they reuse the corpus stream afterwards or need the rendered
+// messages.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +74,7 @@ spambayes::TokenIdSet trigger_token_ids(const PoisonSpec& spec,
 
 // ---------------------------------------------------------------------------
 // Figure 1: dictionary attacks vs. percent control of the training set.
+// Figure 5: the dynamic threshold defense on the same walk.
 // ---------------------------------------------------------------------------
 
 /// Parameters (defaults = Table 1, large configuration: 10,000-message
@@ -86,6 +90,10 @@ struct DictionaryCurveConfig {
   std::uint64_t seed = 20080401;
   spambayes::FilterOptions filter;
   std::size_t threads = 0;  // 0 = hardware concurrency
+  /// Dynamic threshold defense variants measured at every point (Figure
+  /// 5; the paper's Threshold-.05 = (0.05, 0.95) and Threshold-.10 =
+  /// (0.10, 0.90)). Empty for Figure 1.
+  std::vector<core::DynamicThresholdConfig> defense_variants;
 };
 
 /// One point of a Figure-1 curve (fold-aggregated).
@@ -103,6 +111,11 @@ struct DictionaryCurvePoint {
   /// tokens: every test-fold spam message re-classified with the trigger
   /// stamped in (true label spam; "leak" = not filed as spam).
   ConfusionMatrix triggered;
+  /// Parallel to config.defense_variants: the test folds' scores under
+  /// each variant's thresholds, re-derived per fold and fraction from the
+  /// poisoned training set, and those thresholds averaged over folds.
+  std::vector<ConfusionMatrix> defended;
+  std::vector<core::ThresholdPair> mean_thresholds;
 };
 
 /// A full curve for one attack variant. points[0] is the control (no
@@ -116,7 +129,8 @@ struct DictionaryCurve {
 
 /// Generic Causative driver: trains `spec.message` copies under
 /// `spec.train_as` at each attack fraction. For a spam-labeled spec with
-/// no trigger this is bit-identical to the historical dictionary driver.
+/// no trigger this is bit-identical to the historical dictionary driver,
+/// and the defense variants change no field a run without them fills.
 DictionaryCurve run_dictionary_curve(const corpus::TrecLikeGenerator& gen,
                                      const PoisonSpec& spec,
                                      const DictionaryCurveConfig& config);
@@ -274,38 +288,7 @@ RoniExperimentResult run_roni_experiment(
     const RoniExperimentConfig& config);
 
 // ---------------------------------------------------------------------------
-// Figure 5: the dynamic threshold defense vs. the dictionary attack.
-// ---------------------------------------------------------------------------
-
-struct ThresholdDefenseConfig {
-  DictionaryCurveConfig base;
-  /// Defense variants; paper: Threshold-.05 = (0.05, 0.95) and
-  /// Threshold-.10 = (0.10, 0.90).
-  std::vector<core::DynamicThresholdConfig> variants = {{0.05, 0.95},
-                                                        {0.10, 0.90}};
-};
-
-struct ThresholdCurvePoint {
-  double attack_fraction = 0.0;
-  std::size_t attack_messages = 0;
-  ConfusionMatrix no_defense;
-  std::vector<ConfusionMatrix> defended;  // parallel to config.variants
-  /// Fold-averaged selected thresholds, parallel to config.variants.
-  std::vector<core::ThresholdPair> mean_thresholds;
-};
-
-std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
-    const corpus::TrecLikeGenerator& gen, const PoisonSpec& spec,
-    const ThresholdDefenseConfig& config);
-
-inline std::vector<ThresholdCurvePoint> run_threshold_defense_curve(
-    const corpus::TrecLikeGenerator& gen, const core::DictionaryAttack& attack,
-    const ThresholdDefenseConfig& config) {
-  return run_threshold_defense_curve(gen, poison_spec_from(attack), config);
-}
-
-// ---------------------------------------------------------------------------
-// Shared helpers (exposed for tests).
+// Shared helpers.
 // ---------------------------------------------------------------------------
 
 /// Trains a filter on the given items of a tokenized dataset.
@@ -317,5 +300,24 @@ void train_on_indices(spambayes::Filter& filter,
 ConfusionMatrix classify_indices(const spambayes::Filter& filter,
                                  const corpus::TokenizedDataset& data,
                                  const std::vector<std::size_t>& indices);
+
+/// A victim's clean training inbox and the filter trained on it, shared by
+/// the focused drivers and the good-word, ham-labeled and focused-guessing
+/// experiments. Draws from `rng` only through sample_mailbox. Not
+/// copyable: spam_headers points into inbox.
+struct VictimInbox {
+  corpus::Dataset inbox;
+  corpus::TokenizedDataset tokenized;
+  spambayes::Filter filter;
+  /// The inbox's spam, whose headers attack emails clone (empty when the
+  /// inbox holds no spam; callers that clone headers check).
+  std::vector<const email::Message*> spam_headers;
+
+  VictimInbox(const corpus::TrecLikeGenerator& gen, std::size_t size,
+              double spam_fraction,
+              const spambayes::FilterOptions& filter_options, util::Rng& rng);
+  VictimInbox(const VictimInbox&) = delete;
+  VictimInbox& operator=(const VictimInbox&) = delete;
+};
 
 }  // namespace sbx::eval

@@ -16,30 +16,13 @@
 namespace sbx::eval {
 namespace {
 
-/// Per-repetition environment shared by the focused-attack experiments:
-/// a fresh clean inbox, the trained base filter, and the pool of spam
-/// messages whose headers attack emails clone.
-struct FocusedRun {
-  corpus::Dataset inbox;
-  corpus::TokenizedDataset tokenized;
-  spambayes::Filter filter;
-  std::vector<const email::Message*> spam_headers;
-
+/// One focused repetition's victim inbox: the attack emails clone its
+/// spam headers, so an inbox without spam is an error.
+struct FocusedRun : VictimInbox {
   FocusedRun(const corpus::TrecLikeGenerator& gen,
              const FocusedConfig& config, util::Rng& rng)
-      : filter(config.filter) {
-    inbox = gen.sample_mailbox(config.inbox_size, config.spam_fraction, rng);
-    tokenized = corpus::tokenize_dataset(
-        inbox, spambayes::Tokenizer(config.filter.tokenizer));
-    for (std::size_t i = 0; i < inbox.items.size(); ++i) {
-      const auto& item = tokenized.items[i];
-      if (item.label == corpus::TrueLabel::spam) {
-        filter.train_spam_ids(item.ids);
-        spam_headers.push_back(&inbox.items[i].message);
-      } else {
-        filter.train_ham_ids(item.ids);
-      }
-    }
+      : VictimInbox(gen, config.inbox_size, config.spam_fraction,
+                    config.filter, rng) {
     if (spam_headers.empty()) {
       throw InvalidArgument("FocusedRun: inbox contains no spam headers");
     }

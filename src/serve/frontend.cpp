@@ -11,13 +11,6 @@
 #include "util/sharding.h"
 
 namespace sbx::serve {
-namespace {
-
-/// Per-shard work item for classify_many: index into the request (and
-/// response) vector.
-using ShardPlan = std::vector<std::vector<std::size_t>>;
-
-}  // namespace
 
 ServeFrontend::ServeFrontend(spambayes::Filter base, FrontendConfig config,
                              std::unique_ptr<Durability> durability)
@@ -378,29 +371,6 @@ Response ServeFrontend::dispatch(const Request& request) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse{e.what()};
   }
-}
-
-std::vector<Response> ServeFrontend::classify_many(
-    const std::vector<ClassifyBatchRequest>& requests) {
-  std::vector<Response> responses(requests.size());
-  ShardPlan plan(shards_.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].user_id >= route_.size()) {
-      responses[i] = ErrorResponse{"serve: unknown user " +
-                                   std::to_string(requests[i].user_id) +
-                                   " (serving " +
-                                   std::to_string(route_.size()) + " users)"};
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    plan[route_[requests[i].user_id].shard].push_back(i);
-  }
-  util::parallel_over_shards(shards_.size(), [&](std::size_t shard) {
-    for (const std::size_t i : plan[shard]) {
-      responses[i] = dispatch(Request(requests[i]));
-    }
-  });
-  return responses;
 }
 
 }  // namespace sbx::serve

@@ -142,13 +142,6 @@ class ServeFrontend {
   /// a ShutdownResponse; acting on it is the server's job.
   Response dispatch(const Request& request);
 
-  /// Scores many batches concurrently: requests are grouped by shard and
-  /// the groups run on the shared process-wide pool
-  /// (util::parallel_over_shards), one ScoreEngine per worker thread.
-  /// Response order matches request order.
-  std::vector<Response> classify_many(
-      const std::vector<ClassifyBatchRequest>& requests);
-
   const spambayes::Filter& base() const { return base_; }
   /// The base's score table, built once by the constructor: what a user
   /// without an overlay is scored through.

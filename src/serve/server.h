@@ -72,7 +72,7 @@ class Server {
   /// to.
   const std::string& endpoint() const { return endpoint_; }
 
-  /// Serves until a ShutdownRequest or request_drain()/stop() arrives,
+  /// Serves until a ShutdownRequest or request_drain() arrives,
   /// finishes in-flight requests, joins connection threads, and flushes
   /// the frontend's WAL.
   void run() SBX_EXCLUDES(threads_mutex_);
@@ -85,9 +85,6 @@ class Server {
   /// primary (idempotent, async-signal-safe — the SIGUSR1 path of a
   /// standby sbx_serve). Same self-pipe as request_drain, different byte.
   void request_promote();
-
-  /// Synonym for request_drain(), kept for existing callers.
-  void stop() { request_drain(); }
 
   const ServerCounters& counters() const { return counters_; }
 

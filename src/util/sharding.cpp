@@ -1,10 +1,6 @@
 #include "util/sharding.h"
 
-#include <future>
-#include <vector>
-
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace sbx::util {
 
@@ -13,22 +9,6 @@ std::size_t shard_of(std::uint64_t key, std::size_t shard_count) {
     throw InvalidArgument("shard_of: shard_count must be greater than 0");
   }
   return static_cast<std::size_t>(mix64(key) % shard_count);
-}
-
-void parallel_over_shards(std::size_t shard_count,
-                          const std::function<void(std::size_t)>& body) {
-  if (shard_count == 0) return;
-  if (shard_count == 1) {
-    body(0);
-    return;
-  }
-  ThreadPool& pool = ThreadPool::shared();
-  std::vector<std::future<void>> futures;
-  futures.reserve(shard_count);
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    futures.push_back(pool.submit([&body, shard] { body(shard); }));
-  }
-  pool.wait(futures);
 }
 
 }  // namespace sbx::util

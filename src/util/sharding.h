@@ -1,22 +1,14 @@
 // sbx/util/sharding.h
 //
-// Key-to-shard routing and shard-parallel dispatch for the serving layer.
-// A shard owns a disjoint subset of users; requests are routed by a mixed
-// hash of the user id (user ids are often sequential, so the raw value
-// would pile consecutive users onto consecutive shards and make one shard
-// the mutation hot spot under loadgen-style workloads).
-//
-// parallel_over_shards() runs one body per shard on the process-wide
-// shared ThreadPool — the same pool the experiment Runner borrows — so a
-// frontend fanning a multi-user batch across shards composes with any
-// in-flight experiment parallelism instead of oversubscribing the machine.
-// The pool's run-inline-while-waiting policy makes the nesting (a pool
-// task that itself dispatches over shards) deadlock-free.
+// Key-to-shard routing for the serving layer. A shard owns a disjoint
+// subset of users; requests are routed by a mixed hash of the user id
+// (user ids are often sequential, so the raw value would pile consecutive
+// users onto consecutive shards and make one shard the mutation hot spot
+// under loadgen-style workloads).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace sbx::util {
 
@@ -35,12 +27,5 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 /// agree on shard_count agree on placement. Throws InvalidArgument when
 /// shard_count is 0.
 std::size_t shard_of(std::uint64_t key, std::size_t shard_count);
-
-/// Runs body(shard) for every shard in [0, shard_count) on the shared
-/// ThreadPool and waits for all of them; rethrows the first body
-/// exception. Bodies run concurrently — each must touch only its own
-/// shard's state.
-void parallel_over_shards(std::size_t shard_count,
-                          const std::function<void(std::size_t)>& body);
 
 }  // namespace sbx::util

@@ -1,9 +1,9 @@
 // sbx/util/table.h
 //
-// Result-table formatting for the experiment harness. Every bench binary
-// reports the paper's rows/series through a Table: aligned plain text on
-// stdout (what a reader compares against the paper) and optional CSV export
-// (what a plotting script consumes).
+// Result-table formatting for the experiment harness. Every experiment
+// and `sbx_experiments figure` reports the paper's rows/series through a
+// Table: aligned plain text on stdout (what a reader compares against the
+// paper) and optional CSV export (what a plotting script consumes).
 #pragma once
 
 #include <string>

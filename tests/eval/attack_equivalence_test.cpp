@@ -230,22 +230,27 @@ TEST(AttackEquivalence, DictionaryCurveThroughRegistry) {
 }
 
 TEST(AttackEquivalence, ThresholdCurveThroughRegistry) {
-  ThresholdDefenseConfig config;
-  config.base.training_set_size = 400;
-  config.base.folds = 2;
-  config.base.attack_fractions = {0.02};
-  config.variants = {{0.1, 0.9}};
+  DictionaryCurveConfig config;
+  config.training_set_size = 400;
+  config.folds = 2;
+  config.attack_fractions = {0.02};
+  config.defense_variants = {{0.1, 0.9}};
 
-  const auto pre = run_threshold_defense_curve(
-      generator(),
-      core::DictionaryAttack::usenet(generator().lexicons(), 2'000), config);
-  const auto ported = run_threshold_defense_curve(
-      generator(),
-      registry_poison("usenet", {{"dictionary_size", "2000"}}, 1), config);
+  const auto pre =
+      run_dictionary_curve(
+          generator(),
+          core::DictionaryAttack::usenet(generator().lexicons(), 2'000),
+          config)
+          .points;
+  const auto ported =
+      run_dictionary_curve(
+          generator(),
+          registry_poison("usenet", {{"dictionary_size", "2000"}}, 1), config)
+          .points;
 
   ASSERT_EQ(ported.size(), pre.size());
   for (std::size_t i = 0; i < pre.size(); ++i) {
-    expect_same_matrix(ported[i].no_defense, pre[i].no_defense);
+    expect_same_matrix(ported[i].matrix, pre[i].matrix);
     ASSERT_EQ(ported[i].defended.size(), pre[i].defended.size());
     for (std::size_t vi = 0; vi < pre[i].defended.size(); ++vi) {
       expect_same_matrix(ported[i].defended[vi], pre[i].defended[vi]);

@@ -208,30 +208,32 @@ TEST(RoniExperiment, SeparatesAttacksFromSpam) {
   }
 }
 
-ThresholdDefenseConfig small_threshold_config() {
-  ThresholdDefenseConfig config;
-  config.base.training_set_size = 600;
-  config.base.folds = 3;
-  config.base.attack_fractions = {0.05};
-  config.base.seed = 321;
+DictionaryCurveConfig small_threshold_config() {
+  DictionaryCurveConfig config;
+  config.training_set_size = 600;
+  config.folds = 3;
+  config.attack_fractions = {0.05};
+  config.seed = 321;
+  config.defense_variants = {{0.05, 0.95}, {0.10, 0.90}};
   return config;
 }
 
 TEST(ThresholdExperiment, DefenseKeepsHamOutOfSpamFolder) {
   core::DictionaryAttack attack =
       core::DictionaryAttack::usenet(generator().lexicons());
-  auto points = run_threshold_defense_curve(generator(), attack,
-                                            small_threshold_config());
+  auto points = run_dictionary_curve(generator(), attack,
+                                     small_threshold_config())
+                    .points;
   ASSERT_EQ(points.size(), 2u);  // control + 5%
   const auto& attacked = points[1];
   // Without the defense the attack ruins ham classification.
-  EXPECT_GT(attacked.no_defense.ham_misclassified_rate(), 0.5);
+  EXPECT_GT(attacked.matrix.ham_misclassified_rate(), 0.5);
   // With it, ham stays out of the spam folder...
   for (const auto& defended : attacked.defended) {
     EXPECT_LT(defended.ham_as_spam_rate(),
-              attacked.no_defense.ham_as_spam_rate() + 1e-9);
+              attacked.matrix.ham_as_spam_rate() + 1e-9);
     EXPECT_LT(defended.ham_misclassified_rate(),
-              attacked.no_defense.ham_misclassified_rate());
+              attacked.matrix.ham_misclassified_rate());
   }
   // ...and the chosen thresholds moved up to chase the shifted scores.
   EXPECT_GT(attacked.mean_thresholds[0].theta1, 0.9);
@@ -240,11 +242,51 @@ TEST(ThresholdExperiment, DefenseKeepsHamOutOfSpamFolder) {
 TEST(ThresholdExperiment, ControlPointLeavesAccuracyIntact) {
   core::DictionaryAttack attack =
       core::DictionaryAttack::usenet(generator().lexicons());
-  auto points = run_threshold_defense_curve(generator(), attack,
-                                            small_threshold_config());
+  auto points = run_dictionary_curve(generator(), attack,
+                                     small_threshold_config())
+                    .points;
   const auto& control = points[0];
   for (const auto& defended : control.defended) {
     EXPECT_LT(defended.ham_misclassified_rate(), 0.10);
+  }
+}
+
+// The defense only re-reads the walk's scores: adding variants leaves
+// every field a run without them fills bit-identical, the trigger
+// measurement included.
+TEST(ThresholdExperiment, VariantsLeaveThePlainWalkBitIdentical) {
+  PoisonSpec spec = poison_spec_from(
+      core::DictionaryAttack::usenet(generator().lexicons()));
+  spec.trigger = {"zqxtrigger", "vvkpromo"};
+  DictionaryCurveConfig plain_config = small_threshold_config();
+  plain_config.defense_variants.clear();
+  const DictionaryCurve plain =
+      run_dictionary_curve(generator(), spec, plain_config);
+  const DictionaryCurve defended =
+      run_dictionary_curve(generator(), spec, small_threshold_config());
+
+  ASSERT_TRUE(plain.has_trigger);
+  ASSERT_EQ(defended.points.size(), plain.points.size());
+  for (std::size_t i = 0; i < plain.points.size(); ++i) {
+    const DictionaryCurvePoint& a = plain.points[i];
+    const DictionaryCurvePoint& b = defended.points[i];
+    EXPECT_TRUE(a.defended.empty());
+    EXPECT_TRUE(a.mean_thresholds.empty());
+    EXPECT_EQ(b.defended.size(), 2u);
+    EXPECT_EQ(b.mean_thresholds.size(), 2u);
+    for (auto label : {corpus::TrueLabel::ham, corpus::TrueLabel::spam}) {
+      for (auto verdict : {spambayes::Verdict::ham, spambayes::Verdict::unsure,
+                           spambayes::Verdict::spam}) {
+        EXPECT_EQ(b.matrix.count(label, verdict),
+                  a.matrix.count(label, verdict));
+        EXPECT_EQ(b.triggered.count(label, verdict),
+                  a.triggered.count(label, verdict));
+      }
+    }
+    EXPECT_EQ(b.ham_misclassified_by_fold.mean(),
+              a.ham_misclassified_by_fold.mean());
+    EXPECT_EQ(b.ham_misclassified_by_fold.stddev(),
+              a.ham_misclassified_by_fold.stddev());
   }
 }
 

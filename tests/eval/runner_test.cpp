@@ -99,6 +99,7 @@ TEST(RunnerDeterminism, DictionaryCurveBitIdenticalAcrossThreadCounts) {
   config.folds = 4;
   config.attack_fractions = {0.01, 0.05};
   config.seed = 2008;
+  config.defense_variants = {{0.05, 0.95}, {0.10, 0.90}};
 
   config.threads = 1;
   const DictionaryCurve serial =
@@ -128,6 +129,22 @@ TEST(RunnerDeterminism, DictionaryCurveBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.ham_misclassified_by_fold.variance(),
               b.ham_misclassified_by_fold.variance());
     EXPECT_EQ(a.attack_token_ratio, b.attack_token_ratio);
+    // Each defense variant's thresholds come from the per-fold streams
+    // and are summed across folds: bit-identical too.
+    ASSERT_EQ(a.defended.size(), 2u);
+    ASSERT_EQ(b.defended.size(), 2u);
+    for (std::size_t vi = 0; vi < a.defended.size(); ++vi) {
+      for (auto label : {corpus::TrueLabel::ham, corpus::TrueLabel::spam}) {
+        for (auto verdict :
+             {spambayes::Verdict::ham, spambayes::Verdict::unsure,
+              spambayes::Verdict::spam}) {
+          EXPECT_EQ(a.defended[vi].count(label, verdict),
+                    b.defended[vi].count(label, verdict));
+        }
+      }
+      EXPECT_EQ(a.mean_thresholds[vi].theta0, b.mean_thresholds[vi].theta0);
+      EXPECT_EQ(a.mean_thresholds[vi].theta1, b.mean_thresholds[vi].theta1);
+    }
   }
 }
 

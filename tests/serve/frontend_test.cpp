@@ -154,33 +154,6 @@ TEST(ServeFrontend, TrainThatWouldWrapACountIsRefusedBeforeTheWal) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServeFrontend, ClassifyManyMatchesSequentialDispatchBitwise) {
-  ServeFrontend frontend(build_base_filter(small_base()), {4, 32});
-  ServeFrontend sequential(build_base_filter(small_base()), {4, 32});
-  const auto msgs = make_messages(6, 3);
-
-  std::vector<ClassifyBatchRequest> batch;
-  for (std::uint64_t uid = 0; uid < 32; uid += 3) {
-    ClassifyBatchRequest c;
-    c.user_id = uid;
-    c.messages = msgs;
-    batch.push_back(c);
-  }
-  batch.push_back({/*user_id=*/999, {msgs[0]}});  // routed to ErrorResponse
-
-  const std::vector<Response> parallel = frontend.classify_many(batch);
-  ASSERT_EQ(parallel.size(), batch.size());
-  for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
-    const auto& got = std::get<ClassifyBatchResponse>(parallel[i]);
-    const auto want = sequential.classify_batch(batch[i]);
-    ASSERT_EQ(got.results.size(), want.results.size());
-    for (std::size_t j = 0; j < got.results.size(); ++j) {
-      EXPECT_EQ(got.results[j].score, want.results[j].score);
-    }
-  }
-  EXPECT_TRUE(std::holds_alternative<ErrorResponse>(parallel.back()));
-}
-
 // Classify traffic hammering one user while another user trains: the
 // reader must never block or crash, and scores must always correspond to
 // some published snapshot (here: just exercise it under TSan).

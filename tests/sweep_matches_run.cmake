@@ -3,7 +3,9 @@
 # every configuration's ResultDoc JSON and CSV tables are byte-identical
 # to a standalone `run` of that configuration at --threads=1. Registered
 # as the sbx_sweep_matches_run ctest: sharing a pool across configurations
-# in flight together must never show in any output.
+# in flight together must never show in any output. The threshold sweep
+# includes a trigger-carrying, ham-labeled attack. Last, a sweep whose
+# axes fail validation must exit 2 without printing to stdout.
 #
 # Expects: EXPERIMENTS (sbx_experiments binary), OUT_DIR (scratch
 # directory).
@@ -72,4 +74,21 @@ function(check_sweep experiment axis_key axis_values)
 endfunction()
 
 check_sweep(dictionary attack optimal,usenet,aspell)
-check_sweep(threshold attack usenet,aspell)
+check_sweep(threshold attack usenet,aspell,backdoor-trigger)
+
+# A sweep whose axes fail validation exits 2 before it prints anything.
+execute_process(
+  COMMAND "${EXPERIMENTS}" sweep dictionary --quick --axis attack=usenet,optimal
+          --axis attack=aspell
+  RESULT_VARIABLE rejected_rc
+  OUTPUT_VARIABLE rejected_stdout
+  ERROR_QUIET)
+if(NOT rejected_rc EQUAL 2)
+  message(FATAL_ERROR "sweep with a repeated axis key exited ${rejected_rc}, "
+                      "not 2")
+endif()
+if(NOT rejected_stdout STREQUAL "")
+  message(FATAL_ERROR "sweep with a repeated axis key printed to stdout: "
+                      "${rejected_stdout}")
+endif()
+message(STATUS "sweep with a repeated axis key: exit 2, no stdout")

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "util/error.h"
@@ -79,46 +76,6 @@ TEST(ShardOfTest, SequentialKeysSpreadEvenly) {
     EXPECT_GT(counts[s], expected * 0.75) << "shard " << s;
     EXPECT_LT(counts[s], expected * 1.25) << "shard " << s;
   }
-}
-
-TEST(ParallelOverShardsTest, RunsEveryShardExactlyOnce) {
-  constexpr std::size_t kShards = 13;
-  std::vector<std::atomic<int>> hits(kShards);
-  parallel_over_shards(kShards, [&](std::size_t shard) {
-    hits[shard].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(hits[s].load(), 1) << "shard " << s;
-  }
-}
-
-TEST(ParallelOverShardsTest, ZeroShardsIsANoop) {
-  bool ran = false;
-  parallel_over_shards(0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ParallelOverShardsTest, RethrowsBodyException) {
-  EXPECT_THROW(
-      parallel_over_shards(4,
-                           [](std::size_t shard) {
-                             if (shard == 2) {
-                               throw std::runtime_error("shard 2 failed");
-                             }
-                           }),
-      std::runtime_error);
-}
-
-TEST(ParallelOverShardsTest, NestedDispatchDoesNotDeadlock) {
-  // A shard body that itself fans out over shards — the pattern the
-  // shared pool's run-inline-while-waiting policy exists for.
-  std::atomic<int> total{0};
-  parallel_over_shards(4, [&](std::size_t) {
-    parallel_over_shards(4, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(total.load(), 16);
 }
 
 }  // namespace

@@ -229,6 +229,8 @@ int cmd_sweep(const std::string& name, const CliFlags& flags) {
   }
   const eval::Experiment& experiment = eval::builtin_registry().get(name);
   const eval::Config base = resolve(experiment, flags);
+  // Reject bad axes before the header announces a grid that never runs.
+  eval::expand_sweep(base, flags.axes);
 
   eval::SweepOptions options;
   options.threads = flags.threads;
