@@ -30,6 +30,7 @@
 #include "serve/base_model.h"
 #include "serve/frontend.h"
 #include "serve/shard.h"
+#include "serve/wal.h"
 #include "spambayes/filter.h"
 #include "spambayes/score_engine.h"
 #include "util/random.h"
@@ -265,18 +266,20 @@ int main(int argc, char** argv) {
                   }) *
       8.0;
 
-  // --- served train after a dictionary attack: ModelShard's copy-on-write
-  // train (copy the published overlay, train one ordinary message, publish
-  // the copy) into an overlay that already holds one Aspell
-  // dictionary-attack email, ~100k ids. Runs last because the attack
-  // interns its whole dictionary, which would change the rows above.
+  // --- served train after a dictionary attack: ModelShard::apply_mutation's
+  // copy-on-write train (copy the published overlay, train one ordinary
+  // message, publish the copy) into an overlay that already holds one
+  // Aspell dictionary-attack email, ~100k ids. Runs last because the
+  // attack interns its whole dictionary, which would change the rows above.
   const corpus::Lexicons lexicons;
   const core::DictionaryAttack attack =
       core::DictionaryAttack::aspell(lexicons);
   const spambayes::TokenIdSet attack_ids =
       spambayes::unique_token_ids(tok.tokenize_ids(attack.attack_message()));
   serve::ModelShard shard(1);
-  shard.apply_train(0, attack_ids, /*as_spam=*/true, 1);
+  serve::MutationRequest train;  // in-memory shard: nothing is logged
+  train.op = serve::kWalOpTrain;
+  shard.apply_mutation(0, train, attack_ids);
   util::Rng ordinary_rng(7);
   std::vector<spambayes::TokenIdSet> ordinary;
   for (int i = 0; i < 64; ++i) {
@@ -287,8 +290,8 @@ int main(int argc, char** argv) {
   std::size_t ordinary_next = 0;
   const double overlay_train_after_dictionary =
       ops_per_sec(min_seconds, [&] {
-        shard.apply_train(0, ordinary[ordinary_next], ordinary_next % 2 == 1,
-                          1);
+        train.as_spam = ordinary_next % 2 == 1;
+        shard.apply_mutation(0, train, ordinary[ordinary_next]);
         ordinary_next = (ordinary_next + 1) % ordinary.size();
       });
 

@@ -198,6 +198,11 @@ class FocusedAttackAdapter : public AttackBase {
           "and spam_header_pool in the CraftContext (only the focused "
           "experiments provide them)");
     }
+    if (ctx.spam_header_pool->empty()) {
+      throw InvalidArgument(
+          "attack 'focused' clones the headers of the victim inbox's spam, "
+          "and the inbox holds none (raise spam_fraction)");
+    }
     FocusedAttackConfig config;
     config.guess_probability = ctx.params.get_double("guess_probability");
     config.extra_words =

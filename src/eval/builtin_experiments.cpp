@@ -8,6 +8,7 @@
 // The good-word and ham-labeled measurement loops live here too, so they
 // are runnable (and testable) through the registry like everything else.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -59,6 +60,20 @@ std::size_t positive_uint(const Config& config, std::string_view key) {
                           "' must be greater than 0");
   }
   return static_cast<std::size_t>(value);
+}
+
+/// spam_fraction for the focused drivers, whose attack emails clone the
+/// victim inbox's spam headers: rejected, before any sampling, when
+/// sample_mailbox's rounding leaves an `inbox_size` inbox without spam.
+double spam_bearing_fraction(const Config& config, std::size_t inbox_size) {
+  const double fraction = config.get_double("spam_fraction");
+  if (std::llround(static_cast<double>(inbox_size) * fraction) < 1) {
+    throw InvalidArgument(
+        "config key 'spam_fraction' leaves the " + std::to_string(inbox_size) +
+        "-message victim inbox without spam, whose headers the focused "
+        "drivers' attack emails clone");
+  }
+  return fraction;
 }
 
 /// Help text for the generic attack-parameter pass-through every
@@ -288,7 +303,7 @@ class FocusedKnowledgeExperiment : public ExperimentBase {
     const corpus::TrecLikeGenerator generator;
     FocusedConfig fc;
     fc.inbox_size = positive_uint(config, "inbox_size");
-    fc.spam_fraction = config.get_double("spam_fraction");
+    fc.spam_fraction = spam_bearing_fraction(config, fc.inbox_size);
     fc.target_count =
         positive_uint(config, "target_count");
     fc.repetitions = positive_uint(config, "repetitions");
@@ -378,7 +393,7 @@ class FocusedSizeExperiment : public ExperimentBase {
     const corpus::TrecLikeGenerator generator;
     FocusedConfig fc;
     fc.inbox_size = positive_uint(config, "inbox_size");
-    fc.spam_fraction = config.get_double("spam_fraction");
+    fc.spam_fraction = spam_bearing_fraction(config, fc.inbox_size);
     fc.target_count =
         positive_uint(config, "target_count");
     fc.repetitions = positive_uint(config, "repetitions");
@@ -459,7 +474,7 @@ class TokenShiftExperiment : public ExperimentBase {
     const corpus::TrecLikeGenerator generator;
     FocusedConfig fc;
     fc.inbox_size = positive_uint(config, "inbox_size");
-    fc.spam_fraction = config.get_double("spam_fraction");
+    fc.spam_fraction = spam_bearing_fraction(config, fc.inbox_size);
     fc.seed = config.get_uint("seed");
 
     const auto examples = run_token_shift(

@@ -310,7 +310,7 @@ struct VictimInbox {
   corpus::TokenizedDataset tokenized;
   spambayes::Filter filter;
   /// The inbox's spam, whose headers attack emails clone (empty when the
-  /// inbox holds no spam; callers that clone headers check).
+  /// inbox holds no spam; the focused attack then refuses to craft).
   std::vector<const email::Message*> spam_headers;
 
   VictimInbox(const corpus::TrecLikeGenerator& gen, std::size_t size,

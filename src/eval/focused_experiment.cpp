@@ -11,23 +11,9 @@
 #include "eval/attack_axis.h"
 #include "eval/experiments.h"
 #include "eval/runner.h"
-#include "util/error.h"
 
 namespace sbx::eval {
 namespace {
-
-/// One focused repetition's victim inbox: the attack emails clone its
-/// spam headers, so an inbox without spam is an error.
-struct FocusedRun : VictimInbox {
-  FocusedRun(const corpus::TrecLikeGenerator& gen,
-             const FocusedConfig& config, util::Rng& rng)
-      : VictimInbox(gen, config.inbox_size, config.spam_fraction,
-                    config.filter, rng) {
-    if (spam_headers.empty()) {
-      throw InvalidArgument("FocusedRun: inbox contains no spam headers");
-    }
-  }
-};
 
 /// Trains the given attack emails under `label`, runs `body`, then
 /// untrains them exactly, restoring the filter. Returns body's
@@ -104,7 +90,8 @@ std::vector<FocusedKnowledgePoint> run_focused_knowledge(
   runner.map_reduce(
       config.repetitions, /*salt=*/1000,
       [&](std::size_t, util::Rng& rng) {
-        FocusedRun run(gen, config, rng);
+        VictimInbox run(gen, config.inbox_size, config.spam_fraction,
+                        config.filter, rng);
         const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
 
         std::vector<FocusedKnowledgePoint> local(points.size());
@@ -183,7 +170,8 @@ std::vector<FocusedSizePoint> run_focused_size(
   runner.map_reduce(
       config.repetitions, /*salt=*/2000,
       [&](std::size_t, util::Rng& rng) {
-        FocusedRun run(gen, config, rng);
+        VictimInbox run(gen, config.inbox_size, config.spam_fraction,
+                        config.filter, rng);
         const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
         const std::size_t max_messages = core::attack_message_count(
             config.inbox_size, fractions.back());
@@ -272,7 +260,8 @@ std::vector<TokenShiftExample> run_token_shift(
     std::size_t attack_count, const FocusedConfig& config,
     std::size_t max_targets) {
   util::Rng rng(config.seed);
-  FocusedRun run(gen, config, rng);
+  VictimInbox run(gen, config.inbox_size, config.spam_fraction,
+                  config.filter, rng);
   const spambayes::Tokenizer tokenizer(config.filter.tokenizer);
   const spambayes::Classifier& classifier = run.filter.classifier();
 

@@ -1,6 +1,7 @@
 #include "serve/frontend.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <utility>
 
@@ -59,12 +60,18 @@ ServeFrontend::ServeFrontend(spambayes::Filter base, FrontendConfig config,
     const std::size_t owned = next_local[s] > 0 ? next_local[s] : 1;
     shards_.push_back(std::make_unique<ModelShard>(owned));
     shards_.back()->configure_dedup(config.dedup_window);
-    if (durability_ != nullptr) {
-      shards_.back()->attach_durability(durability_.get(), s);
-    }
   }
   for (std::uint64_t uid = 0; uid < config.user_count; ++uid) {
     shards_[route_[uid].shard]->set_uid_of_local(route_[uid].local, uid);
+  }
+  if (durability_ != nullptr) {
+    // Replay first, attach after: a replayed record must not reach the log
+    // it was read from.
+    recovery_stats_ = recover_from(durability_->config().data_dir);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s]->attach_durability(durability_.get(), s);
+    }
+    durability_->note_recovered_seqno(applied_watermark());
   }
 }
 
@@ -183,11 +190,16 @@ void ServeFrontend::set_standby(std::string redirect_hint) {
   role_.store(Role::kStandby, std::memory_order_release);
 }
 
-PromoteResponse ServeFrontend::promote() {
+std::uint64_t ServeFrontend::applied_watermark() const {
   std::uint64_t watermark = 0;
   for (const auto& shard : shards_) {
     watermark = std::max(watermark, shard->last_seqno());
   }
+  return watermark;
+}
+
+PromoteResponse ServeFrontend::promote() {
+  const std::uint64_t watermark = applied_watermark();
   if (durability_ != nullptr) {
     // Seqnos drawn as a primary must land strictly above everything
     // replicated in — otherwise the promoted node's first mutation would
@@ -204,20 +216,7 @@ ReplicateAckResponse ServeFrontend::replicate_batch(
   std::uint64_t max_seqno = 0;
   std::uint64_t applied = 0;
   for (const ReplicatedRecord& entry : request.records) {
-    const RouteEntry at = route_checked(entry.record.user_id);
-    if (at.shard != entry.shard) {
-      // Primary and standby derive routing from the same manifest; a
-      // disagreement means they are not replicas of one topology.
-      throw InvalidArgument(
-          "serve: replicated record routes user " +
-          std::to_string(entry.record.user_id) + " to shard " +
-          std::to_string(at.shard) + " here, shard " +
-          std::to_string(entry.shard) + " on the primary (topology mismatch)");
-    }
-    const spambayes::TokenIdSet ids =
-        base_.message_token_ids(email::parse_message(entry.record.message));
-    const ReplicatedApplyResult r =
-        shards_[at.shard]->apply_replicated(at.local, entry.record, ids);
+    const LoggedApplyResult r = apply_logged_record(entry.shard, entry.record);
     if (r.applied) {
       ++applied;
       max_ticket = std::max(max_ticket, r.commit_ticket);
@@ -250,27 +249,71 @@ void ServeFrontend::sync_durability() {
   if (durability_ != nullptr) durability_->sync_all();
 }
 
-void ServeFrontend::replay_install_user(std::uint64_t uid,
-                                        OverlaySnapshot overlay,
-                                        std::vector<DedupEntry> dedup) {
-  const RouteEntry at = route_checked(uid);
-  shards_[at.shard]->replay_install(at.local, std::move(overlay),
-                                    std::move(dedup));
-}
-
-void ServeFrontend::replay_wal_record(const WalRecord& record) {
+LoggedApplyResult ServeFrontend::apply_logged_record(
+    std::uint32_t shard, const WalRecord& record) {
   const RouteEntry at = route_checked(record.user_id);
+  if (at.shard != shard) {
+    // Primary and standby, and a log and the process replaying it, derive
+    // routing from the same manifest; a disagreement means they are not
+    // one topology.
+    throw InvalidArgument("serve: logged record routes user " +
+                          std::to_string(record.user_id) + " to shard " +
+                          std::to_string(at.shard) + " here, shard " +
+                          std::to_string(shard) +
+                          " where it was logged (topology mismatch)");
+  }
   const spambayes::TokenIdSet ids =
       base_.message_token_ids(email::parse_message(record.message));
-  MutationRequest req;
-  req.op = record.op;
-  req.user_id = record.user_id;
-  req.request_id = record.request_id;
-  req.as_spam = record.as_spam;
-  req.copies = record.copies;
-  req.message = &record.message;
-  req.seqno = record.seqno;
-  shards_[at.shard]->replay_mutation(at.local, req, ids);
+  return shards_[at.shard]->apply_logged(at.local, record, ids);
+}
+
+RecoveryStats ServeFrontend::recover_from(const std::string& data_dir) {
+  const auto started = std::chrono::steady_clock::now();
+  RecoveryStats stats;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    SnapshotChainScan scan = scan_snapshot_chain(data_dir, s);
+    const auto install = [&](std::vector<UserSnapshotState>& users) {
+      for (UserSnapshotState& u : users) {
+        const RouteEntry at = route_checked(u.uid);
+        shards_[at.shard]->replay_install(at.local, std::move(u.overlay),
+                                          std::move(u.dedup));
+        ++stats.snapshot_users;
+      }
+    };
+    if (scan.full.has_value()) install(scan.full->users);
+    // Later segments override earlier state for the same user: each
+    // segment stores a dirtied user's complete overlay, not a delta.
+    for (IncrementalSnapshot& segment : scan.segments) {
+      install(segment.users);
+      ++stats.snapshot_segments;
+    }
+    shards_[s]->note_checkpoint(scan.snapshot_seqno);
+    stats.max_seqno = std::max(stats.max_seqno, scan.snapshot_seqno);
+
+    const WalReadStats rs =
+        read_wal(wal_path_in(data_dir, s), [&](const WalRecord& record) {
+          stats.max_seqno = std::max(stats.max_seqno, record.seqno);
+          if (apply_logged_record(s, record).applied) ++stats.replayed_records;
+        });
+    stats.torn_dropped += rs.dropped_torn + rs.dropped_corrupt;
+    if (durability_ != nullptr) {
+      durability_->adopt_chain(s, scan);
+      // Cut the torn tail so future appends land where the scan stops;
+      // otherwise every record after the tear stays unreadable.
+      if (rs.bytes_used < rs.bytes_total) {
+        durability_->wal(s).truncate(rs.bytes_used);
+      }
+      for (const std::string& stale : scan.stale_paths) {
+        std::error_code ignored;  // best effort: the next scan skips it too
+        std::filesystem::remove(stale, ignored);
+      }
+    }
+  }
+  stats.duration_ms = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count());
+  return stats;
 }
 
 StatsResponse ServeFrontend::stats() const {

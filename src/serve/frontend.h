@@ -34,19 +34,22 @@
 //    fails. Train, untrain, WAL replay and replication still intern, as
 //    they must to add counts.
 //
-// Durability (PR 7): constructed with a Durability, every Train/Untrain is
-// WAL-logged before it publishes, and recover() (recovery.h) rebuilds the
-// frontend from snapshot + log to a state bit-identical to an
-// uninterrupted run. Without one, the frontend is the same in-memory
-// structure as before — that is what sbx_loadgen's verification mirror
-// embeds.
+// Durability (PR 7): constructed with a Durability, the frontend recovers
+// its own data dir: (1) install each shard's checkpoint chain, (2) replay
+// each WAL through the per-record path a standby uses, (3) cut the torn
+// tail and delete stale segments, and only then (4) attach the WAL and
+// seed the seqno counter past the highest shard watermark. That order
+// keeps replay from logging a record again. From then on every
+// Train/Untrain is WAL-logged before it publishes. Without a Durability,
+// recover() (recovery.h) fills the frontend as a read-only mirror.
 //
 // Replication (PR 9): the frontend carries a Role. A primary with an
 // attached Replicator ships every committed WAL record to the standby; a
 // standby (set_standby) refuses Classify/Train/Untrain over dispatch with
 // ErrorCode::kNotPrimary (+ optional redirect endpoint) and instead
-// absorbs ReplicateBatch frames through the shards' replay-equivalent
-// apply_replicated path. promote() flips a standby to primary with no
+// absorbs ReplicateBatch frames. Each shipped record takes the path
+// recovery's replay takes: route, topology check, tokenize,
+// ModelShard::apply_logged. promote() flips a standby to primary with no
 // replay gap: every shipped record was applied (and logged) as it
 // arrived, so promotion only has to advance the seqno counter past the
 // replicated watermark.
@@ -92,11 +95,14 @@ struct ServerCounters {
 class ServeFrontend {
  public:
   /// Takes ownership of the shared base filter (immutable from here on)
-  /// and builds the shard/user routing table. With a Durability, the
-  /// shards log every mutation to their WAL before publishing. Throws
-  /// InvalidArgument on a zero shard or user count, and when the base's
-  /// classifier options would admit a zero-count token into delta(E)
-  /// (lookup-only classify would then change scores).
+  /// and builds the shard/user routing table. With a Durability, it
+  /// recovers the durability's data dir (see the header comment; the
+  /// counts land in stats()), and from then on the shards log every
+  /// mutation to their WAL before publishing. Throws InvalidArgument on a
+  /// zero shard or user count, and when the base's classifier options
+  /// would admit a zero-count token into delta(E) (lookup-only classify
+  /// would then change scores); recovery's errors (ParseError on a broken
+  /// checkpoint chain, IoError) propagate.
   ServeFrontend(spambayes::Filter base, FrontendConfig config,
                 std::unique_ptr<Durability> durability = nullptr);
   ~ServeFrontend();
@@ -125,14 +131,15 @@ class ServeFrontend {
   PromoteResponse promote();
 
   /// Standby side of WAL shipping: applies each shipped record through the
-  /// shards' replay-equivalent path (skipping per-shard seqnos already
-  /// applied — resends are idempotent), waits for the covering fsync, then
-  /// acks the batch's highest seqno. The ack therefore implies standby
-  /// durability under the standby's own fsync policy.
+  /// path recovery's replay takes (ModelShard::apply_logged skips
+  /// per-shard seqnos already applied or checkpointed, so resends are
+  /// idempotent, across a standby restart too), waits for the covering
+  /// fsync, then acks the batch's highest seqno. The ack therefore implies
+  /// standby durability under the standby's own fsync policy.
   ReplicateAckResponse replicate_batch(const ReplicateBatchRequest& request);
 
   /// Primary side: owns the shipper and wires it into every shard. Call
-  /// after construction (and after recovery), before serving.
+  /// after construction (which recovers), before serving.
   void attach_replicator(std::unique_ptr<Replicator> replicator);
 
   Replicator* replicator() { return replicator_.get(); }
@@ -171,21 +178,6 @@ class ServeFrontend {
   /// the ship queue (bounded wait) and stops the shipper first.
   void sync_durability();
 
-  /// Recovery-only: installs one user's snapshot state (recovery.h's
-  /// recover() is the caller). Throws InvalidArgument for an unknown uid.
-  void replay_install_user(std::uint64_t uid, OverlaySnapshot overlay,
-                           std::vector<DedupEntry> dedup);
-
-  /// Recovery-only: re-applies one logged mutation (tokenizing the logged
-  /// raw text through the same pipeline the live request took) without
-  /// re-logging it.
-  void replay_wal_record(const WalRecord& record);
-
-  /// Surfaces recovery telemetry through stats().
-  void set_recovery_stats(const RecoveryStats& stats) {
-    recovery_stats_ = stats;
-  }
-
   /// Points stats() at the socket server's connection counters (the server
   /// detaches on destruction).
   void attach_server_counters(const ServerCounters* counters) {
@@ -199,6 +191,17 @@ class ServeFrontend {
                        std::uint32_t copies, const std::string& message);
   ErrorResponse not_primary(const char* what);
 
+  friend RecoveryStats recover(ServeFrontend& frontend,
+                               const std::string& data_dir);
+  /// Steps 1-3 of the Durability paragraph above; a mirror (no
+  /// Durability) only installs and replays, and writes nothing.
+  RecoveryStats recover_from(const std::string& data_dir);
+  /// The one path for a record that carries a seqno (replicate_batch and
+  /// recovery): route, topology check, tokenize, ModelShard::apply_logged.
+  LoggedApplyResult apply_logged_record(std::uint32_t shard,
+                                        const WalRecord& record);
+  std::uint64_t applied_watermark() const;  // max over the shards
+
   spambayes::Filter base_;
   // Immutable once built; every classifying thread reads it.
   std::shared_ptr<const spambayes::ScoreTable> base_table_;
@@ -211,7 +214,7 @@ class ServeFrontend {
   std::vector<RouteEntry> route_;  // indexed by user id
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
-  RecoveryStats recovery_stats_;
+  RecoveryStats recovery_stats_;  // written once, by the constructor
   std::atomic<const ServerCounters*> server_counters_{nullptr};
   std::atomic<std::uint64_t> classify_requests_{0};
   std::atomic<std::uint64_t> train_requests_{0};

@@ -5,7 +5,6 @@
 #include <string.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -482,13 +481,16 @@ Durability::Durability(DurabilityConfig config, std::size_t shard_count)
   }
   const util::MutexLock lock(chain_mutex_);
   chains_.resize(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const SnapshotChainScan scan = scan_snapshot_chain(config_.data_dir, s);
-    chains_[s].next_index = scan.next_index;
-    chains_[s].last_crc = scan.tail_crc;
-    chains_[s].segments = scan.segments.size();
-    chains_[s].oldest_index = scan.oldest_index;
-  }
+}
+
+void Durability::adopt_chain(std::size_t shard,
+                             const SnapshotChainScan& scan) {
+  const util::MutexLock lock(chain_mutex_);
+  ChainState& chain = chains_.at(shard);
+  chain.next_index = scan.next_index;
+  chain.last_crc = scan.tail_crc;
+  chain.segments = scan.segments.size();
+  chain.oldest_index = scan.oldest_index;
 }
 
 void Durability::note_recovered_seqno(std::uint64_t max_seen) {
@@ -574,65 +576,13 @@ std::uint64_t Durability::total_bytes() const {
 
 // --- Recovery --------------------------------------------------------------
 
-RecoveryStats recover(ServeFrontend& frontend, const std::string& data_dir,
-                      bool repair_torn_tail) {
-  const auto started = std::chrono::steady_clock::now();
-  RecoveryStats stats;
-  for (std::size_t s = 0; s < frontend.shard_count(); ++s) {
-    SnapshotChainScan scan = scan_snapshot_chain(data_dir, s);
-    const std::uint64_t snapshot_seqno = scan.snapshot_seqno;
-    if (snapshot_seqno > stats.max_seqno) stats.max_seqno = snapshot_seqno;
-    if (scan.full.has_value()) {
-      for (UserSnapshotState& u : scan.full->users) {
-        frontend.replay_install_user(u.uid, std::move(u.overlay),
-                                     std::move(u.dedup));
-        ++stats.snapshot_users;
-      }
-    }
-    for (IncrementalSnapshot& seg : scan.segments) {
-      // Later segments override earlier state for the same user — each
-      // segment stores a dirtied user's complete overlay, not a delta.
-      for (UserSnapshotState& u : seg.users) {
-        frontend.replay_install_user(u.uid, std::move(u.overlay),
-                                     std::move(u.dedup));
-        ++stats.snapshot_users;
-      }
-      ++stats.snapshot_segments;
-    }
-    if (repair_torn_tail) {
-      for (const std::string& stale : scan.stale_paths) {
-        ::unlink(stale.c_str());
-      }
-    }
-    const std::string wal_path = wal_path_in(data_dir, s);
-    const WalReadStats rs = read_wal(wal_path, [&](const WalRecord& record) {
-      if (record.seqno > stats.max_seqno) stats.max_seqno = record.seqno;
-      if (record.seqno <= snapshot_seqno) return;  // folded into the chain
-      frontend.replay_wal_record(record);
-      ++stats.replayed_records;
-    });
-    stats.torn_dropped += rs.dropped_torn + rs.dropped_corrupt;
-    stats.wal_bytes += rs.bytes_used;
-    if (repair_torn_tail && rs.bytes_used < rs.bytes_total) {
-      // Chop the torn tail off so future appends land where the scan
-      // stops — otherwise every record after the tear stays unreadable.
-      const int fd = ::open(wal_path.c_str(), O_WRONLY | O_CLOEXEC);
-      if (fd < 0) throw_errno("recovery: open " + wal_path);
-      if (::ftruncate(fd, static_cast<off_t>(rs.bytes_used)) < 0) {
-        const int saved = errno;
-        ::close(fd);
-        errno = saved;
-        throw_errno("recovery: truncate " + wal_path);
-      }
-      ::fsync(fd);
-      ::close(fd);
-    }
+RecoveryStats recover(ServeFrontend& frontend, const std::string& data_dir) {
+  if (frontend.durability() != nullptr) {
+    throw InvalidArgument(
+        "recover: a durable frontend recovers its own data dir when it is "
+        "constructed; recover() only fills a read-only mirror");
   }
-  stats.duration_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count());
-  return stats;
+  return frontend.recover_from(data_dir);
 }
 
 }  // namespace sbx::serve

@@ -2,9 +2,11 @@
 //
 // Crash-safe persistence for the serving layer: the data-directory layout,
 // the per-shard overlay snapshots (full + incremental chain), the startup
-// manifest, the group-commit fsync window, and the recovery replay that
-// rebuilds a ServeFrontend to the exact state an uninterrupted run would
-// hold.
+// manifest and the group-commit fsync window. The recovery replay itself
+// is ServeFrontend's: a frontend constructed with a Durability rebuilds
+// itself from the data dir to the exact state an uninterrupted run would
+// hold, and recover() below fills a frontend without one as a read-only
+// mirror of a data dir.
 //
 // Data directory layout:
 //
@@ -17,8 +19,8 @@
 //                                  dirtied since the previous checkpoint,
 //                                  CRC-chained parent -> child
 //
-// Recovery invariant (the tentpole's correctness bar): overlay contents
-// after `recover()` are bit-identical to an uninterrupted process that
+// Recovery invariant: overlay contents after recovery (durable or
+// mirror) are bit-identical to an uninterrupted process that
 // applied the same mutations — snapshots embed exact TokenDatabase::save()
 // bytes, and WAL replay re-tokenizes the logged raw message text through
 // the identical pipeline the live request took. (Overlay *generation*
@@ -27,8 +29,9 @@
 //
 // Snapshot atomicity: snapshots are written tmp → fsync → rename → fsync
 // parent dir, then the WAL is truncated. A crash between rename and
-// truncate is safe because the snapshot records the highest folded seqno
-// and replay skips WAL records at or below it.
+// truncate is safe because the snapshot records the highest folded seqno:
+// installing the chain raises each shard's applied watermark to it, and
+// ModelShard::apply_logged skips records at or below the watermark.
 //
 // Incremental chain: each segment stores its parent's content CRC, so
 // recovery can prove the chain is unbroken (full snapshot → seg 1 → … →
@@ -154,7 +157,7 @@ IncrementalWriteResult write_incremental_snapshot_file(
 std::optional<IncrementalSnapshot> read_incremental_snapshot_file(
     const std::string& path, std::uint32_t* out_crc = nullptr);
 
-/// Everything recovery (and Durability's constructor) needs to know about
+/// Everything recovery (and Durability::adopt_chain) needs to know about
 /// one shard's checkpoint chain on disk.
 struct SnapshotChainScan {
   std::optional<ShardSnapshot> full;
@@ -179,8 +182,9 @@ SnapshotChainScan scan_snapshot_chain(const std::string& data_dir,
 /// process. Constructed once, attached to the frontend's shards.
 class Durability {
  public:
-  /// Creates the data-dir layout, opens one WalWriter per shard, and scans
-  /// each shard's existing snapshot chain to find the tail it extends.
+  /// Creates the data-dir layout and opens one WalWriter per shard. The
+  /// snapshot chains start empty; a frontend's recovery adopts the chains
+  /// it finds on disk before any checkpoint extends them.
   Durability(DurabilityConfig config, std::size_t shard_count);
 
   Durability(const Durability&) = delete;
@@ -224,6 +228,10 @@ class Durability {
   }
 
   // --- Snapshot chain ------------------------------------------------------
+
+  /// Continues `shard`'s checkpoint chain from the tail `scan` found.
+  void adopt_chain(std::size_t shard, const SnapshotChainScan& scan)
+      SBX_EXCLUDES(chain_mutex_);
 
   /// True when the next checkpoint of `shard` must be a full snapshot
   /// (chain too long, time to compact).
@@ -302,20 +310,20 @@ struct RecoveryStats {
   std::uint64_t snapshot_segments = 0;   // incremental segments applied
   std::uint64_t replayed_records = 0;    // WAL records re-applied
   std::uint64_t torn_dropped = 0;        // torn/corrupt tail frames dropped
-  std::uint64_t wal_bytes = 0;           // valid WAL bytes consumed
   std::uint64_t duration_ms = 0;
   std::uint64_t max_seqno = 0;           // highest seqno observed
 };
 
-/// Rebuilds `frontend` from `data_dir`: per shard, installs the full
-/// snapshot (if any), folds the incremental chain over it (later segments
-/// override earlier users), then replays WAL records with seqno above the
-/// chain's watermark. With `repair_torn_tail` (the serving daemon), a
-/// dropped WAL tail is truncated off the log file and stale pre-compaction
-/// segments are deleted; a read-only mirror (sbx_loadgen
-/// --verify-data-dir) leaves files alone. The frontend must be freshly
-/// constructed with the manifest's topology.
-RecoveryStats recover(ServeFrontend& frontend, const std::string& data_dir,
-                      bool repair_torn_tail = false);
+/// Fills `frontend`, a read-only mirror (sbx_loadgen --verify-data-dir,
+/// tests), from `data_dir`: per shard, installs the full snapshot (if
+/// any), folds the incremental chain over it (later segments override
+/// earlier users), then replays WAL records with seqno above the chain's
+/// watermark, through the same path a durable frontend's own recovery and
+/// a standby's shipped records take. It never writes to `data_dir`: a
+/// torn WAL tail is dropped from the replay, not from the file. The
+/// frontend must be freshly constructed with the manifest's topology and
+/// without a Durability (InvalidArgument otherwise: a durable frontend
+/// recovers, and repairs, its own data dir when constructed).
+RecoveryStats recover(ServeFrontend& frontend, const std::string& data_dir);
 
 }  // namespace sbx::serve

@@ -4,9 +4,10 @@
 // background thread draining a ticket-ordered queue of committed WAL
 // records into protocol-v3 ReplicateBatch frames; the standby (a second
 // sbx_serve started with --standby) applies each record through the same
-// replay path recovery uses and acks with a seqno watermark — so the
-// standby is provably bit-identical to the primary at every acked
-// watermark, and promotion (--promote / SIGUSR1) has no replay gap.
+// replay path recovery uses, ModelShard::apply_logged, and acks with a
+// seqno watermark — so the standby is provably bit-identical to the
+// primary at every acked watermark, and promotion (--promote / SIGUSR1)
+// has no replay gap.
 //
 // Ordering contract: ModelShard::apply_mutation enqueues under its shard
 // mutation lock, immediately after the local WAL append. That guarantees
@@ -18,7 +19,9 @@
 // Delivery contract: records stay queued until the standby acks the batch
 // containing them. A transport failure reconnects with backoff and
 // resends the same batch; the standby skips records at or below each
-// shard's last applied seqno, so resends are idempotent. Tickets are
+// shard's applied watermark, so resends are idempotent. That holds across
+// a standby restart too: installing its checkpoint chain raises each
+// shard's watermark to the chain's seqno. Tickets are
 // queue positions (assigned at enqueue), NOT seqnos — concurrent shards
 // can draw seqnos in one order and enqueue in another, and quorum waiting
 // must follow queue order to be correct.

@@ -13,7 +13,10 @@ namespace sbx::serve {
 
 ModelShard::ModelShard(std::size_t user_count)
     : user_count_(user_count),
-      users_(std::make_unique<UserModel[]>(user_count)) {
+      users_(std::make_unique<UserModel[]>(user_count)),
+      uid_of_local_(user_count, 0),
+      dedup_(user_count),
+      dirty_(user_count, 0) {
   if (user_count == 0) {
     throw InvalidArgument("ModelShard: user_count must be greater than 0");
   }
@@ -22,8 +25,6 @@ ModelShard::ModelShard(std::size_t user_count)
 void ModelShard::configure_dedup(std::size_t dedup_window) {
   const util::MutexLock lock(mutation_mutex_);
   dedup_window_ = dedup_window;
-  if (uid_of_local_.empty()) uid_of_local_.assign(user_count_, 0);
-  dedup_.assign(user_count_, {});
 }
 
 void ModelShard::attach_durability(Durability* durability,
@@ -31,9 +32,6 @@ void ModelShard::attach_durability(Durability* durability,
   const util::MutexLock lock(mutation_mutex_);
   durability_ = durability;
   shard_index_ = shard_index;
-  if (uid_of_local_.empty()) uid_of_local_.assign(user_count_, 0);
-  if (dedup_.empty()) dedup_.assign(user_count_, {});
-  if (dirty_.empty()) dirty_.assign(user_count_, 0);
 }
 
 void ModelShard::attach_replicator(Replicator* replicator) {
@@ -49,7 +47,6 @@ void ModelShard::attach_replicator(Replicator* replicator) {
 void ModelShard::set_uid_of_local(std::size_t local, std::uint64_t uid) {
   user(local);  // range check
   const util::MutexLock lock(mutation_mutex_);
-  if (uid_of_local_.empty()) uid_of_local_.assign(user_count_, 0);
   uid_of_local_[local] = uid;
 }
 
@@ -72,7 +69,7 @@ OverlaySnapshot ModelShard::overlay(std::size_t local) const {
 
 const DedupEntry* ModelShard::find_dedup(std::size_t local,
                                          std::uint64_t request_id) const {
-  if (request_id == 0 || dedup_.empty()) return nullptr;
+  if (request_id == 0) return nullptr;
   for (const DedupEntry& e : dedup_[local]) {
     if (e.request_id == request_id) return &e;
   }
@@ -124,7 +121,7 @@ MutationResult ModelShard::apply_mutation(std::size_t local,
     durability_->wal(shard_index_).append(record);
     result.commit_ticket = durability_->note_append();
     last_seqno_ = record.seqno;
-    if (!dirty_.empty()) dirty_[local] = 1;
+    dirty_[local] = 1;
     if (replicator_ != nullptr) {
       // Enqueued under the shard lock, right after the append: the ship
       // queue sees each shard's records in seqno order, which is what
@@ -144,19 +141,20 @@ MutationResult ModelShard::apply_mutation(std::size_t local,
   return result;
 }
 
-ReplicatedApplyResult ModelShard::apply_replicated(
-    std::size_t local, const WalRecord& record,
-    const spambayes::TokenIdSet& ids) {
+LoggedApplyResult ModelShard::apply_logged(std::size_t local,
+                                           const WalRecord& record,
+                                           const spambayes::TokenIdSet& ids) {
   UserModel& model = user(local);
   const util::MutexLock lock(mutation_mutex_);
-  if (record.seqno <= last_seqno_) return {};  // resend of an applied record
+  // A resent, replayed or checkpointed record: it already counts here.
+  if (record.seqno <= last_seqno_) return {};
 
   OverlaySnapshot next = model.prepare(ids, record.as_spam, record.copies,
                                        record.op == kWalOpTrain,
                                        mutation_mutex_);
-  ReplicatedApplyResult result;
+  LoggedApplyResult result;
   if (durability_ != nullptr) {
-    // Keep the primary's seqno: the standby's log must replay to the same
+    // Keep the record's seqno: this node's log must replay to the same
     // watermark the ack names.
     durability_->wal(shard_index_).append(record);
     result.commit_ticket = durability_->note_append();
@@ -166,7 +164,7 @@ ReplicatedApplyResult ModelShard::apply_replicated(
   model.publish(std::move(next), mutation_mutex_);
   remember_dedup(local, DedupEntry{record.request_id, record.op, spam, ham});
   last_seqno_ = record.seqno;
-  if (!dirty_.empty()) dirty_[local] = 1;
+  dirty_[local] = 1;
   result.applied = true;
   if (durability_ != nullptr) maybe_snapshot();
   return result;
@@ -177,35 +175,21 @@ std::uint64_t ModelShard::last_seqno() const {
   return last_seqno_;
 }
 
-MutationResult ModelShard::replay_mutation(std::size_t local,
-                                           const MutationRequest& req,
-                                           const spambayes::TokenIdSet& ids) {
-  UserModel& model = user(local);
-  const util::MutexLock lock(mutation_mutex_);
-  OverlaySnapshot next = model.prepare(ids, req.as_spam, req.copies,
-                                       req.op == kWalOpTrain, mutation_mutex_);
-  const MutationResult result{next->generation(), next->spam_count(),
-                              next->ham_count(), false};
-  model.publish(std::move(next), mutation_mutex_);
-  remember_dedup(local, DedupEntry{req.request_id, req.op, result.spam,
-                                   result.ham});
-  if (req.seqno > last_seqno_) last_seqno_ = req.seqno;
-  if (!dirty_.empty()) dirty_[local] = 1;
-  return result;
-}
-
 void ModelShard::replay_install(std::size_t local, OverlaySnapshot overlay,
                                 std::vector<DedupEntry> dedup) {
   user(local);  // range check
   const util::MutexLock lock(mutation_mutex_);
   users_[local].install(std::move(overlay));
-  if (!dedup_.empty()) {
-    std::deque<DedupEntry>& window = dedup_[local];
-    window.assign(dedup.begin(), dedup.end());
-    while (dedup_window_ != 0 && window.size() > dedup_window_) {
-      window.pop_front();
-    }
+  std::deque<DedupEntry>& window = dedup_[local];
+  window.assign(dedup.begin(), dedup.end());
+  while (dedup_window_ != 0 && window.size() > dedup_window_) {
+    window.pop_front();
   }
+}
+
+void ModelShard::note_checkpoint(std::uint64_t seqno) {
+  const util::MutexLock lock(mutation_mutex_);
+  last_seqno_ = std::max(last_seqno_, seqno);
 }
 
 void ModelShard::maybe_snapshot() {
@@ -232,7 +216,7 @@ void ModelShard::maybe_snapshot() {
     // Incremental: only the users dirtied since the last checkpoint.
     std::vector<UserSnapshotState> dirty;
     for (std::size_t i = 0; i < user_count_; ++i) {
-      if (dirty_.empty() || dirty_[i] == 0) continue;
+      if (dirty_[i] == 0) continue;
       UserSnapshotState u;
       u.uid = uid_of_local_[i];
       u.overlay = users_[i].snapshot();
@@ -245,34 +229,6 @@ void ModelShard::maybe_snapshot() {
   std::fill(dirty_.begin(), dirty_.end(), 0);
   wal.truncate();
   durability_->note_snapshot();
-}
-
-void ModelShard::apply_train(std::size_t local,
-                             const spambayes::TokenIdSet& ids, bool as_spam,
-                             std::uint32_t copies) {
-  UserModel& model = user(local);
-  const util::MutexLock lock(mutation_mutex_);
-  // durability_ is read under the lock: attach_durability may race this
-  // call, and the WAL-bypass check must see the attached state.
-  if (durability_ != nullptr) {
-    throw InvalidArgument(
-        "ModelShard: apply_train bypasses the WAL; use apply_mutation on a "
-        "durable shard");
-  }
-  model.train(ids, as_spam, copies, mutation_mutex_);
-}
-
-void ModelShard::apply_untrain(std::size_t local,
-                               const spambayes::TokenIdSet& ids, bool as_spam,
-                               std::uint32_t copies) {
-  UserModel& model = user(local);
-  const util::MutexLock lock(mutation_mutex_);
-  if (durability_ != nullptr) {
-    throw InvalidArgument(
-        "ModelShard: apply_untrain bypasses the WAL; use apply_mutation on a "
-        "durable shard");
-  }
-  model.untrain(ids, as_spam, copies, mutation_mutex_);
 }
 
 void ModelShard::record_classified(std::size_t local, std::uint64_t messages) {

@@ -15,12 +15,19 @@
 // feedback streams commit concurrently while any number of classify
 // readers proceed untouched.
 //
-// Durability (PR 7): with a Durability attached, apply_mutation runs the
-// crash-safe sequence under the mutation lock — dedup check, prepare the
-// new overlay (may throw; nothing logged), append to the shard's WAL,
-// publish, record the dedup entry, maybe checkpoint. The WAL append sits
-// strictly between prepare and publish: a state no reader ever saw is
-// never logged, and a state any reader saw is always recoverable.
+// Two entry points mutate a user:
+//
+//  * apply_mutation takes a live request, which carries no seqno: dedup
+//    check, prepare the new overlay (may throw; nothing logged), draw a
+//    seqno, WAL append, replicator enqueue, publish, remember the dedup
+//    entry, maybe checkpoint — all under the mutation lock. The append
+//    sits between prepare and publish: a state no reader ever saw is never
+//    logged, and a state any reader saw is always recoverable.
+//  * apply_logged takes a record that already carries a seqno (a standby's
+//    shipped record, or recovery's WAL replay) and skips it at or below
+//    the shard's watermark, which an installed checkpoint chain raises to
+//    its seqno (note_checkpoint). It logs only once a WAL is attached, and
+//    recovery replays before the frontend attaches one.
 #pragma once
 
 #include <atomic>
@@ -68,7 +75,6 @@ struct MutationRequest {
   bool as_spam = true;
   std::uint32_t copies = 1;
   const std::string* message = nullptr;
-  std::uint64_t seqno = 0;  // set only on replay (live path draws its own)
 };
 
 struct MutationResult {
@@ -83,9 +89,9 @@ struct MutationResult {
   std::uint64_t repl_ticket = 0;
 };
 
-/// Outcome of applying one shipped WAL record on a standby.
-struct ReplicatedApplyResult {
-  bool applied = false;  // false = seqno already applied (resend skipped)
+/// Outcome of applying one record that carries a seqno.
+struct LoggedApplyResult {
+  bool applied = false;  // false = seqno at or below the watermark (skipped)
   std::uint64_t commit_ticket = 0;
 };
 
@@ -98,16 +104,18 @@ class ModelShard {
 
   std::size_t user_count() const { return user_count_; }
 
-  /// Sizes the per-user request-id dedup windows (0 disables dedup). A
-  /// WAL-less mirror configures dedup too, so it absorbs retried requests
-  /// exactly like the durable server it verifies against. Taken under the
-  /// mutation lock, so a late reconfigure cannot tear a concurrent
-  /// mutation's dedup window out from under it.
+  /// Sets the per-user request-id dedup window length (0 disables dedup).
+  /// A WAL-less mirror configures dedup too, so it absorbs retried
+  /// requests exactly like the durable server it verifies against. Call
+  /// before recovery, which fills the windows. Taken under the mutation
+  /// lock, so a late reconfigure cannot tear a concurrent mutation's dedup
+  /// window out from under it.
   void configure_dedup(std::size_t dedup_window)
       SBX_EXCLUDES(mutation_mutex_);
 
-  /// Wires this shard to its WAL (durability->wal(shard_index)). Taken
-  /// under the mutation lock (same reasoning as configure_dedup).
+  /// Wires this shard to its WAL (durability->wal(shard_index)). Call
+  /// after recovery: from here on apply_logged appends what it applies.
+  /// Taken under the mutation lock (same reasoning as configure_dedup).
   void attach_durability(Durability* durability, std::size_t shard_index)
       SBX_EXCLUDES(mutation_mutex_);
 
@@ -135,48 +143,30 @@ class ModelShard {
                                 const spambayes::TokenIdSet& ids)
       SBX_EXCLUDES(mutation_mutex_);
 
-  /// Recovery path: applies a logged mutation without re-logging it (and
-  /// without checkpointing), and remembers its request id for post-restart
-  /// retry dedup. Throws if the logged mutation no longer applies — a
-  /// record was only ever logged after a successful prepare, so failure
-  /// here means corrupted state and must be loud.
-  MutationResult replay_mutation(std::size_t local, const MutationRequest& req,
-                                 const spambayes::TokenIdSet& ids)
-      SBX_EXCLUDES(mutation_mutex_);
-
   /// Recovery path: installs a snapshot's overlay and dedup window
-  /// verbatim (no WAL, no counters).
+  /// verbatim (no WAL, no counters, not dirty).
   void replay_install(std::size_t local, OverlaySnapshot overlay,
                       std::vector<DedupEntry> dedup)
       SBX_EXCLUDES(mutation_mutex_);
 
-  /// Standby path: applies one WAL record shipped from the primary —
-  /// appends it verbatim to this node's own log (keeping the primary's
-  /// seqno), publishes the overlay, remembers the dedup entry, and may
-  /// checkpoint. Records at or below the shard's last applied seqno are
-  /// skipped (a reconnecting primary resends its unacked batch).
-  ReplicatedApplyResult apply_replicated(std::size_t local,
-                                         const WalRecord& record,
-                                         const spambayes::TokenIdSet& ids)
+  /// Recovery path: raises the applied watermark to the seqno the
+  /// installed checkpoint chain covers, so apply_logged skips every
+  /// record the chain already folds in.
+  void note_checkpoint(std::uint64_t seqno) SBX_EXCLUDES(mutation_mutex_);
+
+  /// The one path for a record that carries a seqno (see the header).
+  /// Past the watermark it prepares, appends the record verbatim (seqno
+  /// kept) if a WAL is attached, publishes, remembers the dedup entry,
+  /// marks the user dirty, raises the watermark and may checkpoint. Throws
+  /// if the record no longer applies: records are only logged after a
+  /// successful prepare, so that means corrupted state.
+  LoggedApplyResult apply_logged(std::size_t local, const WalRecord& record,
+                                 const spambayes::TokenIdSet& ids)
       SBX_EXCLUDES(mutation_mutex_);
 
-  /// Highest seqno applied or logged here (promotion reads this to seed
-  /// the seqno counter past everything the standby absorbed).
+  /// Highest seqno applied, logged or covered by an installed checkpoint
+  /// (promotion and recovery seed the seqno counter past it).
   std::uint64_t last_seqno() const SBX_EXCLUDES(mutation_mutex_);
-
-  /// Applies one training mutation under the shard mutation lock.
-  /// (Durability-free compatibility path; throws when a WAL is attached —
-  /// callers must go through apply_mutation so the mutation is logged.)
-  void apply_train(std::size_t local, const spambayes::TokenIdSet& ids,
-                   bool as_spam, std::uint32_t copies)
-      SBX_EXCLUDES(mutation_mutex_);
-
-  /// Applies one untraining mutation under the shard mutation lock.
-  /// Throws InvalidArgument when the user's overlay does not contain the
-  /// message (fail loudly instead of silently corrupting counts).
-  void apply_untrain(std::size_t local, const spambayes::TokenIdSet& ids,
-                     bool as_spam, std::uint32_t copies)
-      SBX_EXCLUDES(mutation_mutex_);
 
   /// Attributes `messages` classified messages to user `local`.
   void record_classified(std::size_t local, std::uint64_t messages);
@@ -213,13 +203,16 @@ class ModelShard {
   Replicator* replicator_ SBX_GUARDED_BY(mutation_mutex_) = nullptr;
   std::size_t shard_index_ SBX_GUARDED_BY(mutation_mutex_) = 0;
   std::size_t dedup_window_ SBX_GUARDED_BY(mutation_mutex_) = 0;
-  // Highest seqno applied or logged here.
+  // Highest seqno applied, logged or covered by an installed checkpoint.
   std::uint64_t last_seqno_ SBX_GUARDED_BY(mutation_mutex_) = 0;
+  // The three per-slot vectors below are sized by the constructor: replay
+  // runs before a WAL is attached and must already find them.
   std::vector<std::uint64_t> uid_of_local_ SBX_GUARDED_BY(mutation_mutex_);
   // Per local slot, FIFO.
   std::vector<std::deque<DedupEntry>> dedup_ SBX_GUARDED_BY(mutation_mutex_);
   // Per local slot: mutated since the last checkpoint (feeds incremental
-  // snapshots; snapshot installs are clean by definition).
+  // snapshots; snapshot installs are clean by definition). Replay marks
+  // too: the next checkpoint truncates the WAL those users came from.
   std::vector<std::uint8_t> dirty_ SBX_GUARDED_BY(mutation_mutex_);
   std::atomic<std::uint64_t> deduped_{0};
 };

@@ -43,14 +43,4 @@ void UserModel::publish(OverlaySnapshot next, util::Mutex& mu) {
   mutations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void UserModel::train(const spambayes::TokenIdSet& ids, bool as_spam,
-                      std::uint32_t copies, util::Mutex& mu) {
-  publish(prepare(ids, as_spam, copies, /*is_train=*/true, mu), mu);
-}
-
-void UserModel::untrain(const spambayes::TokenIdSet& ids, bool as_spam,
-                        std::uint32_t copies, util::Mutex& mu) {
-  publish(prepare(ids, as_spam, copies, /*is_train=*/false, mu), mu);
-}
-
 }  // namespace sbx::serve

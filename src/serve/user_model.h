@@ -7,7 +7,7 @@
 // directly against the base through the frontend's one ScoreTable, so an
 // idle fleet of a million users costs one database and one table per
 // process, zero per-user bytes beyond the slot itself. The first
-// train/untrain call materializes a private delta database holding only
+// train/untrain materializes a private delta database holding only
 // that user's feedback; classification then sums it with the base on
 // ScoreEngine's fresh source, which is bit-identical to a standalone
 // filter trained on base + overlay messages and never touches the base's
@@ -70,20 +70,6 @@ class UserModel {
   // capability parameter: "caller holds the shard mutation lock" is not a
   // comment here, it is SBX_REQUIRES(mu) — a clang build refuses call
   // sites that do not provably hold the lock they pass.
-
-  /// Copy-on-write train: copies the current overlay (or starts an empty
-  /// one), trains `copies` messages with token set `ids`, publishes the
-  /// copy (release). Caller holds `mu`, the shard mutation lock.
-  void train(const spambayes::TokenIdSet& ids, bool as_spam,
-             std::uint32_t copies, util::Mutex& mu) SBX_REQUIRES(mu);
-
-  /// Copy-on-write untrain, exactly reversing a train with the same
-  /// arguments. Throws sbx::InvalidArgument when the overlay does not
-  /// contain the message (never trained, or already untrained) — the
-  /// published overlay is untouched in that case. Caller holds `mu`, the
-  /// shard mutation lock.
-  void untrain(const spambayes::TokenIdSet& ids, bool as_spam,
-               std::uint32_t copies, util::Mutex& mu) SBX_REQUIRES(mu);
 
   /// The prepare half of a mutation: builds (but does not publish) the
   /// next overlay state. Splitting prepare from publish is what lets the

@@ -157,9 +157,11 @@ void WalWriter::sync() {
   unsynced_ = 0;
 }
 
-void WalWriter::truncate() {
+void WalWriter::truncate(std::uint64_t valid_bytes) {
   const util::MutexLock lock(io_mutex_);
-  if (::ftruncate(fd_, 0) < 0) throw_errno("wal: truncate " + path_);
+  if (::ftruncate(fd_, static_cast<off_t>(valid_bytes)) < 0) {
+    throw_errno("wal: truncate " + path_);
+  }
   fsync_or_throw(fd_, path_);
   unsynced_ = 0;
   since_truncate_.store(0, std::memory_order_relaxed);

@@ -23,8 +23,8 @@
 // Torn-write handling: read_wal() verifies length bounds and CRC per
 // record and stops at the first frame that doesn't check out — a torn or
 // corrupt tail (the expected state after kill -9 mid-append) is dropped,
-// never replayed, and the next append truncates it away. A missing log
-// file reads as empty.
+// never replayed, and a durable frontend's recovery cuts it off the file
+// before the next append. A missing log file reads as empty.
 #pragma once
 
 #include <atomic>
@@ -89,8 +89,10 @@ class WalWriter {
   /// logs it actually dirtied. Safe to call concurrently with append.
   void sync() SBX_EXCLUDES(io_mutex_);
 
-  /// Empties the log (after its records were folded into a snapshot).
-  void truncate() SBX_EXCLUDES(io_mutex_);
+  /// Cuts the log back to its first `valid_bytes` and fsyncs it: empties
+  /// it once its records are folded into a snapshot, or drops the torn
+  /// tail recovery found (read_wal's bytes_used), so appends stay readable.
+  void truncate(std::uint64_t valid_bytes = 0) SBX_EXCLUDES(io_mutex_);
 
   const std::string& path() const { return path_; }
 

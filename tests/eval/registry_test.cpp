@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/experiment.h"
@@ -251,6 +252,51 @@ TEST(RegistryRun, GoodWordProducesEvasionTableAndPoisonComparison) {
   EXPECT_TRUE(found);
   ASSERT_GE(doc.report.size(), 2u);
   EXPECT_NE(doc.report[0].find("causative comparison:"), std::string::npos);
+}
+
+/// The InvalidArgument message running `name` with `overrides` throws,
+/// or "" when it runs.
+std::string run_error(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& overrides) {
+  const Experiment& experiment = builtin_registry().get(name);
+  Config config = experiment.default_config();
+  for (const auto& [key, value] : overrides) config.set(key, value);
+  try {
+    experiment.run(config, RunContext{});
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The focused drivers' attack emails clone the headers of the victim
+// inbox's spam, so a spam_fraction that sample_mailbox rounds to no spam
+// is a config error that names its key, raised before any sampling.
+TEST(RegistryRun, FocusedDriversRejectAnInboxWithoutSpamByKey) {
+  for (const char* name :
+       {"focused-knowledge", "focused-size", "token-shift"}) {
+    for (const char* fraction : {"0", "0.001"}) {
+      const std::string error = run_error(
+          name, {{"inbox_size", "300"}, {"spam_fraction", fraction}});
+      EXPECT_NE(error.find("'spam_fraction'"), std::string::npos)
+          << name << " spam_fraction=" << fraction << ": '" << error << "'";
+    }
+  }
+}
+
+// focused-guessing takes any Causative attack. Only one that clones spam
+// headers needs spam in the inbox, and it names the key when there is none.
+TEST(RegistryRun, FocusedGuessingNeedsSpamOnlyForHeaderCloningAttacks) {
+  std::vector<std::pair<std::string, std::string>> overrides = {
+      {"inbox_size", "300"},   {"spam_fraction", "0"},
+      {"attack_count", "2"},   {"target_count", "1"},
+      {"guess_probabilities", "0.5"}};
+  const std::string focused = run_error("focused-guessing", overrides);
+  EXPECT_NE(focused.find("spam_fraction"), std::string::npos)
+      << "'" << focused << "'";
+  overrides.emplace_back("attack", "usenet");
+  EXPECT_EQ(run_error("focused-guessing", overrides), "");
 }
 
 }  // namespace

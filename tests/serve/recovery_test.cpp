@@ -163,12 +163,10 @@ TEST(Recovery, RecoveredServerContinuesAndStaysIdentical) {
   }
   apply_workload(*reference, 20, 17);
 
-  // Second generation: recover into a *durable* frontend (as sbx_serve
-  // does), keep mutating, crash again, recover again.
+  // Second generation: a *durable* frontend recovers the dir itself (as
+  // sbx_serve's does), keeps mutating, crashes again, recovers again.
   {
     auto durable = durable_frontend(dir.path, 0);
-    const RecoveryStats rs = recover(*durable, dir.path, true);
-    durable->durability()->note_recovered_seqno(rs.max_seqno);
     apply_workload(*durable, 15, 19);
   }
   apply_workload(*reference, 15, 19);
@@ -192,15 +190,15 @@ TEST(Recovery, TornTailIsDroppedAndRepairedOnlyWhenAsked) {
   // Read-only recovery drops the tail but leaves the file alone.
   {
     auto mirror = memory_frontend();
-    const RecoveryStats rs = recover(*mirror, dir.path, false);
+    const RecoveryStats rs = recover(*mirror, dir.path);
     EXPECT_EQ(rs.torn_dropped, 1u);
     EXPECT_EQ(std::filesystem::file_size(wal0), full_size - 3);
   }
-  // The serving daemon repairs: the file shrinks to the valid prefix so
-  // future O_APPEND writes stay reachable.
-  auto server = memory_frontend();
-  const RecoveryStats rs = recover(*server, dir.path, true);
-  EXPECT_EQ(rs.torn_dropped, 1u);
+  // The serving daemon's durable frontend repairs while it recovers: the
+  // file shrinks to the valid prefix so future O_APPEND writes stay
+  // reachable.
+  auto server = durable_frontend(dir.path, 0);
+  EXPECT_EQ(server->stats().recovery_torn_dropped, 1u);
   EXPECT_LT(std::filesystem::file_size(wal0), full_size - 3);
   // The repaired log is whole again: no torn bytes remain past the valid
   // prefix.
@@ -211,7 +209,7 @@ TEST(Recovery, TornTailIsDroppedAndRepairedOnlyWhenAsked) {
   // Both recoveries agree with each other (the torn record is gone from
   // both) — rerun read-only and compare.
   auto mirror = memory_frontend();
-  recover(*mirror, dir.path, false);
+  recover(*mirror, dir.path);
   expect_bit_identical(*server, *mirror, 80);
 }
 
@@ -241,9 +239,8 @@ TEST(Recovery, DedupAbsorbsRetriesBeforeAndAfterRecovery) {
   // (e.g. the client reconnected to the restarted server) is still
   // absorbed.
   auto recovered = durable_frontend(dir.path, 0);
-  const RecoveryStats rs = recover(*recovered, dir.path, true);
-  recovered->durability()->note_recovered_seqno(rs.max_seqno);
-  EXPECT_EQ(rs.replayed_records, 1u);  // the dedup'd retry was never logged
+  // The dedup'd retry was never logged.
+  EXPECT_EQ(recovered->stats().recovery_replayed_records, 1u);
   const TrainResponse late_retry = recovered->train(t);
   EXPECT_EQ(late_retry.overlay_spam, spam_after_first);
   EXPECT_EQ(recovered->stats().deduped_mutations, 1u);
@@ -272,13 +269,77 @@ TEST(Recovery, DedupWindowSurvivesSnapshotting) {
     ASSERT_GT(durable->durability()->snapshots_taken(), 0u);
   }
   auto recovered = durable_frontend(dir.path, 1);
-  const RecoveryStats rs = recover(*recovered, dir.path, true);
-  recovered->durability()->note_recovered_seqno(rs.max_seqno);
-  EXPECT_EQ(rs.replayed_records, 0u);
-  EXPECT_GT(rs.snapshot_users, 0u);
+  EXPECT_EQ(recovered->stats().recovery_replayed_records, 0u);
+  EXPECT_GT(recovered->stats().recovery_snapshot_users, 0u);
   const TrainResponse retry = recovered->train(t);
   EXPECT_EQ(retry.overlay_ham, 1u);
   EXPECT_EQ(recovered->stats().deduped_mutations, 1u);
+}
+
+// Replay runs before the WAL is attached, and must still mark every user
+// it restores dirty: the first checkpoint after recovery is incremental
+// and then truncates the WAL those users were replayed from. Trains on
+// users the WAL-only run never touched trigger that checkpoint.
+TEST(Recovery, CheckpointAfterRecoveryKeepsTheUsersReplayRestored) {
+  TempDataDir dir("replaydirty");
+  constexpr std::uint64_t kEvery = 3;
+  const auto msgs = make_messages(2 * static_cast<int>(kUsers * kEvery), 47);
+  std::size_t next_msg = 0;
+  const auto train = [&](ServeFrontend& frontend, std::uint64_t uid,
+                         std::size_t m) {
+    TrainRequest t;
+    t.user_id = uid;
+    t.as_spam = m % 2 == 1;
+    t.message = msgs[m];
+    frontend.train(t);
+  };
+  auto reference = memory_frontend();
+  // Per shard, the first user gets the WAL-only workload and the others
+  // the trains after recovery.
+  std::vector<std::uint64_t> replayed;
+  std::vector<std::uint64_t> fresh;
+  std::vector<bool> seen(kShards, false);
+  for (std::uint64_t uid = 0; uid < kUsers; ++uid) {
+    const std::uint32_t shard = reference->route(uid).shard;
+    (seen[shard] ? fresh : replayed).push_back(uid);
+    seen[shard] = true;
+  }
+  ASSERT_EQ(replayed.size(), kShards);
+  {
+    auto durable = durable_frontend(dir.path, /*snapshot_every=*/0);
+    for (std::uint64_t uid : replayed) {
+      train(*durable, uid, next_msg);
+      train(*reference, uid, next_msg++);
+    }
+  }
+  {
+    auto reopened = durable_frontend(dir.path, kEvery);
+    EXPECT_EQ(reopened->stats().recovery_replayed_records, replayed.size());
+    for (std::uint64_t uid : fresh) {
+      for (std::uint64_t i = 0; i < kEvery; ++i) {
+        train(*reopened, uid, next_msg);
+        train(*reference, uid, next_msg++);
+      }
+    }
+    ASSERT_GE(reopened->durability()->snapshots_taken(), kShards);
+    for (std::size_t s = 0; s < kShards; ++s) {
+      ASSERT_EQ(std::filesystem::file_size(wal_path_in(dir.path, s)), 0u)
+          << "shard " << s << " kept its WAL; the test needs it truncated";
+    }
+  }
+  auto recovered = memory_frontend();
+  recover(*recovered, dir.path);
+  expect_bit_identical(*recovered, *reference, 81);
+}
+
+// recover() is the read-only mirror's entry point: a durable frontend has
+// already recovered, and repaired, its own data dir when it was built.
+TEST(Recovery, RecoverRefusesADurableFrontend) {
+  TempDataDir dir("mirroronly");
+  { apply_workload(*durable_frontend(dir.path, 0), 5, 43); }
+  auto reopened = durable_frontend(dir.path, 0);
+  EXPECT_GT(reopened->stats().recovery_replayed_records, 0u);
+  EXPECT_THROW(recover(*reopened, dir.path), InvalidArgument);
 }
 
 TEST(Recovery, ManifestRoundTripsAndRejectsCorruption) {

@@ -26,6 +26,30 @@ spambayes::TokenIdSet ids_for(std::initializer_list<spambayes::TokenId> ids) {
   return spambayes::TokenIdSet(ids);
 }
 
+/// One live train/untrain on an in-memory shard: no WAL is attached, so
+/// nothing is logged and the request carries no message text.
+void mutate(ModelShard& shard, std::size_t local, std::uint8_t op,
+            const spambayes::TokenIdSet& ids, bool as_spam,
+            std::uint32_t copies) {
+  MutationRequest req;
+  req.op = op;
+  req.as_spam = as_spam;
+  req.copies = copies;
+  shard.apply_mutation(local, req, ids);
+}
+
+void train(ModelShard& shard, std::size_t local,
+           const spambayes::TokenIdSet& ids, bool as_spam,
+           std::uint32_t copies = 1) {
+  mutate(shard, local, kWalOpTrain, ids, as_spam, copies);
+}
+
+void untrain(ModelShard& shard, std::size_t local,
+             const spambayes::TokenIdSet& ids, bool as_spam,
+             std::uint32_t copies = 1) {
+  mutate(shard, local, kWalOpUntrain, ids, as_spam, copies);
+}
+
 TEST(Sharding, Mix64SpreadsSequentialKeys) {
   // Sequential user ids must not land on sequential shards; check the
   // splitmix64 route covers all shards for a small population.
@@ -47,14 +71,14 @@ TEST(ModelShard, TrainPublishesAndUntrainReverses) {
   ModelShard shard(3);
   EXPECT_EQ(shard.overlay(1), nullptr);
 
-  shard.apply_train(1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
+  train(shard, 1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
   const OverlaySnapshot snap = shard.overlay(1);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->spam_count(), 2u);
   EXPECT_EQ(snap->counts(2).spam, 2u);
   EXPECT_EQ(shard.overlay(0), nullptr);  // neighbors untouched
 
-  shard.apply_untrain(1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
+  untrain(shard, 1, ids_for({1, 2, 3}), /*as_spam=*/true, /*copies=*/2);
   const OverlaySnapshot after = shard.overlay(1);
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->spam_count(), 0u);
@@ -65,22 +89,22 @@ TEST(ModelShard, TrainPublishesAndUntrainReverses) {
 
 TEST(ModelShard, UntrainOfUntrainedUserThrowsAndChangesNothing) {
   ModelShard shard(1);
-  EXPECT_THROW(shard.apply_untrain(0, ids_for({5}), true, 1), Error);
+  EXPECT_THROW(untrain(shard, 0, ids_for({5}), true, 1), Error);
   EXPECT_EQ(shard.overlay(0), nullptr);
 
-  shard.apply_train(0, ids_for({5}), /*as_spam=*/false, 1);
+  train(shard, 0, ids_for({5}), /*as_spam=*/false, 1);
   const OverlaySnapshot published = shard.overlay(0);
   // Reversing a *different* message fails loudly and leaves the published
   // overlay exactly as it was.
-  EXPECT_THROW(shard.apply_untrain(0, ids_for({6}), false, 1), Error);
+  EXPECT_THROW(untrain(shard, 0, ids_for({6}), false, 1), Error);
   EXPECT_EQ(shard.overlay(0), published);
 }
 
 TEST(ModelShard, StatsAggregateUsersAndCounters) {
   ModelShard shard(4);
-  shard.apply_train(0, ids_for({1}), true, 1);
-  shard.apply_train(2, ids_for({2}), false, 1);
-  shard.apply_train(2, ids_for({3}), false, 1);
+  train(shard, 0, ids_for({1}), true, 1);
+  train(shard, 2, ids_for({2}), false, 1);
+  train(shard, 2, ids_for({3}), false, 1);
   shard.record_classified(1, 10);
   const ShardStats s = shard.stats();
   EXPECT_EQ(s.users, 4u);
@@ -93,8 +117,7 @@ TEST(ModelShard, GenerationsStrictlyIncreaseAcrossPublishes) {
   ModelShard shard(1);
   std::uint64_t last = 0;
   for (int i = 0; i < 10; ++i) {
-    shard.apply_train(0, ids_for({static_cast<spambayes::TokenId>(i)}), true,
-                      1);
+    train(shard, 0, ids_for({static_cast<spambayes::TokenId>(i)}), true, 1);
     const std::uint64_t gen = shard.overlay(0)->generation();
     EXPECT_GT(gen, last);
     last = gen;
@@ -128,7 +151,7 @@ TEST(ModelShard, ConcurrentSnapshotReadsDuringMutation) {
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < 200; ++i) {
-        shard.apply_train(0, ids_for({1, 2}), /*as_spam=*/w == 0, 1);
+        train(shard, 0, ids_for({1, 2}), /*as_spam=*/w == 0, 1);
       }
     });
   }
@@ -156,15 +179,9 @@ TEST(ModelShard, TrainsAfterADictionaryAttackCopyOnlyTheLeavesTheyTouch) {
   util::Rng rng(11);
 
   ModelShard shard(1);
-  const auto train = [&](const spambayes::TokenIdSet& ids, bool as_spam) {
-    MutationRequest req;
-    req.op = kWalOpTrain;
-    req.as_spam = as_spam;
-    shard.apply_mutation(0, req, ids);
-  };
   const spambayes::TokenIdSet attack_ids = spambayes::unique_token_ids(
       tokenizer.tokenize_ids(attack.attack_message()));
-  train(attack_ids, /*as_spam=*/true);
+  train(shard, 0, attack_ids, /*as_spam=*/true);
 
   OverlaySnapshot prev = shard.overlay(0);
   std::set<std::size_t> held;  // leaves the overlay has counts in
@@ -186,7 +203,7 @@ TEST(ModelShard, TrainsAfterADictionaryAttackCopyOnlyTheLeavesTheyTouch) {
       touched.insert(id / TokenDatabase::kLeafEntries);
     }
     held.insert(touched.begin(), touched.end());
-    train(ids, as_spam);
+    train(shard, 0, ids, as_spam);
 
     const OverlaySnapshot next = shard.overlay(0);
     ASSERT_NE(next, prev);

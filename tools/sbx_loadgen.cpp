@@ -344,9 +344,8 @@ std::unique_ptr<sbx::serve::ServeFrontend> build_mirror(Flags& flags) {
   auto mirror = std::make_unique<sbx::serve::ServeFrontend>(
       sbx::serve::build_base_filter(base), fc);
   if (!flags.verify_data_dir.empty()) {
-    // Read-only replay: never repair the server's WAL files from here.
-    const auto rs = sbx::serve::recover(*mirror, flags.verify_data_dir,
-                                        /*repair_torn_tail=*/false);
+    // Read-only replay: a mirror never repairs the server's WAL files.
+    const auto rs = sbx::serve::recover(*mirror, flags.verify_data_dir);
     std::printf("sbx_loadgen: mirror replayed %llu snapshot users + %llu wal "
                 "records from %s\n",
                 static_cast<unsigned long long>(rs.snapshot_users),

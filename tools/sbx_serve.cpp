@@ -11,8 +11,9 @@
 // Crash safety: with --data-dir the daemon write-ahead-logs every
 // train/untrain before it publishes (--fsync=none|batch|always picks the
 // disk-durability point; --snapshot-every=N checkpoints shard overlays and
-// truncates their logs). On startup it replays snapshot + log back to a
-// state bit-identical to an uninterrupted run — kill -9 the daemon at any
+// truncates their logs). On startup the frontend recovers the data dir
+// (checkpoint chain, then WAL replay) back to a state bit-identical to an
+// uninterrupted run, before it logs anything — kill -9 the daemon at any
 // point and restart it from the same --data-dir to verify (tools/
 // sbx_chaos.sh automates exactly that). A MANIFEST file pins the topology
 // flags; restarting with different ones is refused instead of silently
@@ -25,8 +26,10 @@
 //
 // Replication (PR 9): --replicate-to=ENDPOINT makes this node a primary
 // that ships every committed WAL record to a warm standby started with
-// --standby (the standby applies them through the recovery replay path and
-// stays bit-identical at every acked watermark). --repl-ack picks the ack
+// --standby (the standby applies them through the path recovery's WAL
+// replay takes, ModelShard::apply_logged, and stays bit-identical at every
+// acked watermark; restarted from its own --data-dir, it skips resent
+// records its checkpoints already cover). --repl-ack picks the ack
 // policy (async = ship in background, quorum = client acks wait for the
 // standby). SIGUSR1 (or a Promote frame) flips a standby to primary with
 // no replay gap; --redirect-to=ENDPOINT is what a standby's kNotPrimary
@@ -230,17 +233,14 @@ int main(int argc, char** argv) {
         std::move(durability));
 
     if (!flags.data_dir.empty()) {
-      const sbx::serve::RecoveryStats rs = sbx::serve::recover(
-          frontend, flags.data_dir, /*repair_torn_tail=*/true);
-      frontend.durability()->note_recovered_seqno(rs.max_seqno);
-      frontend.set_recovery_stats(rs);
+      const sbx::serve::StatsResponse recovered = frontend.stats();
       std::printf(
           "sbx_serve: recovered %llu snapshot users, replayed %llu wal "
           "records (%llu torn/corrupt dropped) in %llu ms\n",
-          static_cast<unsigned long long>(rs.snapshot_users),
-          static_cast<unsigned long long>(rs.replayed_records),
-          static_cast<unsigned long long>(rs.torn_dropped),
-          static_cast<unsigned long long>(rs.duration_ms));
+          static_cast<unsigned long long>(recovered.recovery_snapshot_users),
+          static_cast<unsigned long long>(recovered.recovery_replayed_records),
+          static_cast<unsigned long long>(recovered.recovery_torn_dropped),
+          static_cast<unsigned long long>(recovered.recovery_ms));
     }
 
     if (flags.standby) {
