@@ -272,19 +272,15 @@ RecoveryStats ServeFrontend::recover_from(const std::string& data_dir) {
   RecoveryStats stats;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     SnapshotChainScan scan = scan_snapshot_chain(data_dir, s);
-    const auto install = [&](std::vector<UserSnapshotState>& users) {
-      for (UserSnapshotState& u : users) {
+    // Root first; later segments override earlier state for the same
+    // user: each segment stores a user's complete overlay, not a delta.
+    for (Checkpoint& segment : scan.segments) {
+      for (UserSnapshotState& u : segment.users) {
         const RouteEntry at = route_checked(u.uid);
         shards_[at.shard]->replay_install(at.local, std::move(u.overlay),
                                           std::move(u.dedup));
         ++stats.snapshot_users;
       }
-    };
-    if (scan.full.has_value()) install(scan.full->users);
-    // Later segments override earlier state for the same user: each
-    // segment stores a dirtied user's complete overlay, not a delta.
-    for (IncrementalSnapshot& segment : scan.segments) {
-      install(segment.users);
       ++stats.snapshot_segments;
     }
     shards_[s]->note_checkpoint(scan.snapshot_seqno);

@@ -37,8 +37,8 @@
 // Durability (PR 7): constructed with a Durability, the frontend recovers
 // its own data dir: (1) install each shard's checkpoint chain, (2) replay
 // each WAL through the per-record path a standby uses, (3) cut the torn
-// tail and delete stale segments, and only then (4) attach the WAL and
-// seed the seqno counter past the highest shard watermark. That order
+// tail and delete compaction leftovers, and only then (4) attach the WAL
+// and seed the seqno counter past the highest shard watermark. That order
 // keeps replay from logging a record again. From then on every
 // Train/Untrain is WAL-logged before it publishes. Without a Durability,
 // recover() (recovery.h) fills the frontend as a read-only mirror.

@@ -103,8 +103,9 @@ std::uint64_t read_u64_field(std::istringstream& fields,
   return v;
 }
 
-/// Serializes user states in the line format shared by full snapshots and
-/// incremental segments.
+constexpr char kCheckpointMagic[] = "SBXCKPT 1";
+
+/// Serializes user states in the line format of a checkpoint's body.
 void append_user_states(std::ostream& out,
                         const std::vector<UserSnapshotState>& users) {
   for (const UserSnapshotState& u : users) {
@@ -127,22 +128,29 @@ void append_user_states(std::ostream& out,
   }
 }
 
-/// Filters out users that carry no durable state (nothing to restore).
-std::vector<UserSnapshotState> prune_empty_users(
-    const std::vector<UserSnapshotState>& users) {
-  std::vector<UserSnapshotState> kept;
-  kept.reserve(users.size());
-  for (const UserSnapshotState& u : users) {
-    if (u.overlay != nullptr || !u.dedup.empty()) kept.push_back(u);
+/// Refuses a count that cannot fit in the content left before `end`:
+/// every entry takes at least one byte, so nothing is ever sized by a
+/// count larger than the file.
+void check_count(std::istream& in, std::size_t end, std::uint64_t count,
+                 const std::string& field, const std::string& what) {
+  const std::streamoff pos = in.tellg();
+  const std::uint64_t left =
+      pos < 0 || static_cast<std::uint64_t>(pos) > end
+          ? 0
+          : end - static_cast<std::uint64_t>(pos);
+  if (count > left) {
+    throw ParseError(what + ": " + field + " count " + std::to_string(count) +
+                     " exceeds the " + std::to_string(left) +
+                     " bytes left in the file");
   }
-  return kept;
 }
 
 std::vector<UserSnapshotState> parse_user_states(std::istream& in,
+                                                 std::size_t end,
                                                  std::uint64_t user_count,
                                                  const std::string& what) {
+  check_count(in, end, user_count, "users", what);
   std::vector<UserSnapshotState> users;
-  users.reserve(user_count);
   for (std::uint64_t i = 0; i < user_count; ++i) {
     UserSnapshotState u;
     std::uint64_t dedup_count = 0;
@@ -153,7 +161,7 @@ std::vector<UserSnapshotState> parse_user_states(std::istream& in,
       dedup_count = read_u64_field(f, what);
       db_present = read_u64_field(f, what);
     }
-    u.dedup.reserve(dedup_count);
+    check_count(in, end, dedup_count, "dedup", what);
     for (std::uint64_t d = 0; d < dedup_count; ++d) {
       auto f = line_fields(in, "dedup", what);
       DedupEntry e;
@@ -169,6 +177,7 @@ std::vector<UserSnapshotState> parse_user_states(std::istream& in,
         auto f = line_fields(in, "dbbytes", what);
         nbytes = read_u64_field(f, what);
       }
+      check_count(in, end, nbytes, "dbbytes", what);
       std::string bytes(nbytes, '\0');
       if (!in.read(bytes.data(), static_cast<std::streamsize>(nbytes))) {
         throw ParseError(what + ": truncated database block");
@@ -177,31 +186,44 @@ std::vector<UserSnapshotState> parse_user_states(std::istream& in,
         throw ParseError(what + ": database block not newline-terminated");
       }
       std::istringstream db(bytes);
-      u.overlay = std::make_shared<spambayes::TokenDatabase>(
-          spambayes::TokenDatabase::load(db));
+      try {
+        u.overlay = std::make_shared<spambayes::TokenDatabase>(
+            spambayes::TokenDatabase::load(db));
+      } catch (const ParseError& e) {
+        throw ParseError(what + ": user " + std::to_string(u.uid) + ": " +
+                         e.what());
+      }
     }
     users.push_back(std::move(u));
   }
   return users;
 }
 
-ShardSnapshot parse_shard_snapshot(std::istream& in, const std::string& what) {
-  std::string magic;
-  if (!std::getline(in, magic) || magic != "SBXSNAP 1") {
-    throw ParseError(what + ": bad magic");
+/// A checkpoint file's content: everything before its trailing `crc`
+/// line, which signs it.
+struct SignedContent {
+  std::size_t size = 0;
+  std::uint32_t crc = 0;
+};
+
+SignedContent checked_content(const std::string& file,
+                              const std::string& what) {
+  if (file.size() < 2 || file.back() != '\n') {
+    throw ParseError(what + ": truncated (no trailing crc line)");
   }
-  ShardSnapshot snap;
-  {
-    auto f = line_fields(in, "seqno", what);
-    snap.seqno = read_u64_field(f, what);
+  const std::size_t last_newline = file.rfind('\n', file.size() - 2);
+  SignedContent content;
+  content.size = last_newline == std::string::npos ? 0 : last_newline + 1;
+  content.crc = util::crc32(file.data(), content.size);
+  std::istringstream last(file.substr(content.size));
+  auto f = line_fields(last, "crc", what);
+  const std::uint64_t stored = read_u64_field(f, what);
+  if (stored != content.crc) {
+    throw ParseError(what + ": content crc mismatch (stored " +
+                     std::to_string(stored) + ", computed " +
+                     std::to_string(content.crc) + ")");
   }
-  std::uint64_t user_count = 0;
-  {
-    auto f = line_fields(in, "users", what);
-    user_count = read_u64_field(f, what);
-  }
-  snap.users = parse_user_states(in, user_count, what);
-  return snap;
+  return content;
 }
 
 }  // namespace
@@ -218,13 +240,8 @@ std::string wal_path_in(const std::string& data_dir, std::size_t shard) {
   return shard_dir(data_dir, shard) + "/wal.log";
 }
 
-std::string snapshot_path_in(const std::string& data_dir, std::size_t shard) {
-  return shard_dir(data_dir, shard) + "/snapshot.db";
-}
-
-std::string incremental_snapshot_path_in(const std::string& data_dir,
-                                         std::size_t shard,
-                                         std::uint64_t index) {
+std::string checkpoint_path_in(const std::string& data_dir, std::size_t shard,
+                               std::uint64_t index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "snap-%06llu.inc",
                 static_cast<unsigned long long>(index));
@@ -279,121 +296,93 @@ std::optional<Manifest> read_manifest(const std::string& data_dir) {
   return m;
 }
 
-// --- Shard snapshots -------------------------------------------------------
+// --- Checkpoints -----------------------------------------------------------
 
-std::uint32_t write_shard_snapshot(
-    const std::string& path, std::uint64_t seqno,
-    const std::vector<UserSnapshotState>& users) {
-  const std::vector<UserSnapshotState> kept = prune_empty_users(users);
+CheckpointWriteResult write_checkpoint_file(const std::string& path,
+                                            const Checkpoint& checkpoint) {
   std::ostringstream out;
-  out << "SBXSNAP 1\n";
-  out << "seqno " << seqno << "\n";
-  out << "users " << kept.size() << "\n";
-  append_user_states(out, kept);
-  const std::string content = std::move(out).str();
-  write_file_atomic(path, content);
-  return util::crc32(reinterpret_cast<const std::uint8_t*>(content.data()),
-                     content.size());
-}
-
-std::optional<ShardSnapshot> read_shard_snapshot(const std::string& path) {
-  const std::optional<std::string> content = read_file_to_string(path);
-  if (!content.has_value()) return std::nullopt;
-  std::istringstream in(*content);
-  return parse_shard_snapshot(in, "snapshot " + path);
-}
-
-IncrementalWriteResult write_incremental_snapshot_file(
-    const std::string& path, const IncrementalSnapshot& snap) {
-  const std::vector<UserSnapshotState> kept = prune_empty_users(snap.users);
-  std::ostringstream out;
-  out << "SBXSNAPINC 1\n";
-  out << "index " << snap.index << "\n";
-  out << "parent_crc " << snap.parent_crc << "\n";
-  out << "seqno " << snap.seqno << "\n";
-  out << "users " << kept.size() << "\n";
-  append_user_states(out, kept);
+  out << kCheckpointMagic << "\n";
+  out << "index " << checkpoint.index << "\n";
+  out << "parent "
+      << (checkpoint.root() ? std::string("root")
+                            : std::to_string(*checkpoint.parent_crc))
+      << "\n";
+  out << "seqno " << checkpoint.seqno << "\n";
+  out << "users " << checkpoint.users.size() << "\n";
+  append_user_states(out, checkpoint.users);
   std::string content = std::move(out).str();
-  IncrementalWriteResult result;
-  result.crc = util::crc32(
-      reinterpret_cast<const std::uint8_t*>(content.data()), content.size());
+  CheckpointWriteResult result;
+  result.crc = util::crc32(content.data(), content.size());
   content += "crc " + std::to_string(result.crc) + "\n";
   write_file_atomic(path, content);
   result.bytes = content.size();
   return result;
 }
 
-std::optional<IncrementalSnapshot> read_incremental_snapshot_file(
-    const std::string& path, std::uint32_t* out_crc) {
-  const std::optional<std::string> content = read_file_to_string(path);
-  if (!content.has_value()) return std::nullopt;
-  const std::string what = "incremental snapshot " + path;
-  std::istringstream in(*content);
+std::optional<Checkpoint> read_checkpoint_file(const std::string& path,
+                                               std::uint32_t* out_crc) {
+  const std::optional<std::string> file = read_file_to_string(path);
+  if (!file.has_value()) return std::nullopt;
+  const std::string what = "checkpoint " + path;
+  std::istringstream in(*file);
   std::string magic;
-  if (!std::getline(in, magic) || magic != "SBXSNAPINC 1") {
-    throw ParseError(what + ": bad magic");
+  std::getline(in, magic);
+  if (magic == "SBXSNAPINC 1") {
+    throw ParseError(what + ": legacy SBXSNAPINC 1 segment; this build "
+                     "only reads " + kCheckpointMagic + " chains");
   }
-  IncrementalSnapshot snap;
+  if (magic != kCheckpointMagic) throw ParseError(what + ": bad magic");
+  const SignedContent content = checked_content(*file, what);
+  Checkpoint checkpoint;
   {
     auto f = line_fields(in, "index", what);
-    snap.index = read_u64_field(f, what);
+    checkpoint.index = read_u64_field(f, what);
   }
   {
-    auto f = line_fields(in, "parent_crc", what);
-    snap.parent_crc = static_cast<std::uint32_t>(read_u64_field(f, what));
+    auto f = line_fields(in, "parent", what);
+    std::string parent;
+    f >> parent;
+    if (parent != "root") {
+      std::istringstream crc(parent);
+      const std::uint64_t value = read_u64_field(crc, what);
+      if (value > UINT32_MAX) throw ParseError(what + ": parent crc overflow");
+      checkpoint.parent_crc = static_cast<std::uint32_t>(value);
+    }
   }
   {
     auto f = line_fields(in, "seqno", what);
-    snap.seqno = read_u64_field(f, what);
+    checkpoint.seqno = read_u64_field(f, what);
   }
   std::uint64_t user_count = 0;
   {
     auto f = line_fields(in, "users", what);
     user_count = read_u64_field(f, what);
   }
-  snap.users = parse_user_states(in, user_count, what);
-  // Everything consumed so far is the content the trailing crc line signs.
-  const std::streampos pos = in.tellg();
-  if (pos < 0) throw ParseError(what + ": truncated before crc line");
-  const std::uint32_t computed = util::crc32(
-      reinterpret_cast<const std::uint8_t*>(content->data()),
-      static_cast<std::size_t>(pos));
-  std::uint32_t stored = 0;
-  {
-    auto f = line_fields(in, "crc", what);
-    stored = static_cast<std::uint32_t>(read_u64_field(f, what));
+  checkpoint.users = parse_user_states(in, content.size, user_count, what);
+  if (in.tellg() != static_cast<std::streamoff>(content.size)) {
+    throw ParseError(what + ": user states do not end at the crc line");
   }
-  if (stored != computed) {
-    throw ParseError(what + ": content crc mismatch (stored " +
-                     std::to_string(stored) + ", computed " +
-                     std::to_string(computed) + ")");
-  }
-  if (out_crc != nullptr) *out_crc = computed;
-  return snap;
+  if (out_crc != nullptr) *out_crc = content.crc;
+  return checkpoint;
 }
 
 SnapshotChainScan scan_snapshot_chain(const std::string& data_dir,
                                       std::size_t shard) {
-  SnapshotChainScan scan;
-  const std::string full_path = snapshot_path_in(data_dir, shard);
-  std::uint32_t full_crc = 0;
-  if (const std::optional<std::string> bytes = read_file_to_string(full_path)) {
-    full_crc = util::crc32(
-        reinterpret_cast<const std::uint8_t*>(bytes->data()), bytes->size());
-    std::istringstream in(*bytes);
-    scan.full = parse_shard_snapshot(in, "snapshot " + full_path);
-    scan.snapshot_seqno = scan.full->seqno;
+  const std::string dir = shard_dir(data_dir, shard);
+  const std::string legacy = dir + "/snapshot.db";
+  if (std::filesystem::exists(legacy)) {
+    throw ParseError("checkpoint " + legacy +
+                     ": legacy full snapshot; this build only reads "
+                     "CRC-chained snap-NNNNNN.inc segments");
   }
-  scan.tail_crc = full_crc;
 
   // Enumerate snap-NNNNNN.inc segments (a missing shard dir = no chain).
   struct Loaded {
-    IncrementalSnapshot snap;
+    Checkpoint segment;
     std::uint32_t crc = 0;
     std::string path;
   };
   std::map<std::uint64_t, Loaded> by_index;
-  const std::string dir = shard_dir(data_dir, shard);
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
@@ -403,55 +392,58 @@ SnapshotChainScan scan_snapshot_chain(const std::string& data_dir,
     }
     Loaded loaded;
     loaded.path = entry.path().string();
-    std::optional<IncrementalSnapshot> snap =
-        read_incremental_snapshot_file(loaded.path, &loaded.crc);
-    if (!snap.has_value()) continue;  // raced away; treat as absent
-    loaded.snap = std::move(*snap);
-    const std::uint64_t index = loaded.snap.index;
+    std::optional<Checkpoint> segment =
+        read_checkpoint_file(loaded.path, &loaded.crc);
+    if (!segment.has_value()) continue;  // raced away; treat as absent
+    loaded.segment = std::move(*segment);
+    const std::uint64_t index = loaded.segment.index;
     if (by_index.count(index) != 0) {
-      throw ParseError("incremental snapshot " + loaded.path +
+      throw ParseError("checkpoint " + loaded.path +
                        ": duplicate chain index " + std::to_string(index));
     }
     by_index.emplace(index, std::move(loaded));
   }
+  SnapshotChainScan scan;
   if (by_index.empty()) return scan;
 
-  scan.oldest_index = by_index.begin()->first;
-  scan.next_index = by_index.rbegin()->first + 1;
-
-  // Walk the chain backwards from the newest segment: consecutive indices
-  // whose parent_crc names the predecessor's content crc form the live
-  // suffix; its root must chain onto the full snapshot (or 0 when none).
-  std::uint64_t root = by_index.rbegin()->first;
-  while (by_index.count(root - 1) != 0 &&
-         by_index.at(root).snap.parent_crc == by_index.at(root - 1).crc) {
-    --root;
+  // Walk back from the newest segment: consecutive indices whose parent
+  // crc names the predecessor's content crc, down to a root.
+  auto root = std::prev(by_index.end());
+  while (!root->second.segment.root()) {
+    const auto parent = by_index.find(root->first - 1);
+    if (parent == by_index.end() ||
+        parent->second.crc != *root->second.segment.parent_crc) {
+      throw ParseError("checkpoint " + root->second.path +
+                       ": chain broken (no segment " +
+                       std::to_string(root->first - 1) +
+                       " with the parent crc it names)");
+    }
+    root = parent;
   }
-  const bool rooted = by_index.at(root).snap.parent_crc == full_crc;
-  const std::uint64_t full_seqno = scan.full ? scan.full->seqno : 0;
+  const std::uint64_t root_index = root->first;
+  const std::uint64_t root_seqno = root->second.segment.seqno;
   for (auto& [index, loaded] : by_index) {
-    const bool live = rooted && index >= root;
-    if (!live) {
-      // Only segments the full snapshot already covers may dangle — those
-      // are leftovers of a compaction interrupted between the full-snapshot
-      // rename and the segment deletes. Anything newer is lost state.
-      if (loaded.snap.seqno > full_seqno) {
-        throw ParseError("incremental snapshot " + loaded.path +
-                         ": chain broken (parent crc mismatch at seqno " +
-                         std::to_string(loaded.snap.seqno) +
-                         " beyond full snapshot seqno " +
-                         std::to_string(full_seqno) + ")");
+    if (index < root_index) {
+      // Only segments the root already covers may sit below it — those
+      // are leftovers of a compaction interrupted between the root's
+      // rename and the unlinks. Anything newer is lost state.
+      if (loaded.segment.seqno > root_seqno) {
+        throw ParseError("checkpoint " + loaded.path + ": seqno " +
+                         std::to_string(loaded.segment.seqno) +
+                         " beyond the seqno " + std::to_string(root_seqno) +
+                         " of the root at index " +
+                         std::to_string(root_index) + " above it");
       }
       scan.stale_paths.push_back(loaded.path);
       continue;
     }
-    if (loaded.snap.seqno < scan.snapshot_seqno) {
-      throw ParseError("incremental snapshot " + loaded.path +
+    if (loaded.segment.seqno < scan.snapshot_seqno) {
+      throw ParseError("checkpoint " + loaded.path +
                        ": seqno regressed along the chain");
     }
-    scan.snapshot_seqno = loaded.snap.seqno;
+    scan.snapshot_seqno = loaded.segment.seqno;
     scan.tail_crc = loaded.crc;
-    scan.segments.push_back(std::move(loaded.snap));
+    scan.segments.push_back(std::move(loaded.segment));
   }
   return scan;
 }
@@ -487,10 +479,9 @@ void Durability::adopt_chain(std::size_t shard,
                              const SnapshotChainScan& scan) {
   const util::MutexLock lock(chain_mutex_);
   ChainState& chain = chains_.at(shard);
-  chain.next_index = scan.next_index;
+  chain.next_index = scan.segments.empty() ? 1 : scan.segments.back().index + 1;
   chain.last_crc = scan.tail_crc;
   chain.segments = scan.segments.size();
-  chain.oldest_index = scan.oldest_index;
 }
 
 void Durability::note_recovered_seqno(std::uint64_t max_seen) {
@@ -516,46 +507,43 @@ void Durability::await_durable(std::uint64_t ticket) {
   }
 }
 
-bool Durability::snapshot_wants_full(std::size_t shard) {
+bool Durability::checkpoint_wants_root(std::size_t shard) {
   const util::MutexLock lock(chain_mutex_);
-  return chains_.at(shard).segments >= kCompactChainAfterSegments;
+  return chains_.at(shard).wants_root();
 }
 
-void Durability::write_full_snapshot(
-    std::size_t shard, std::uint64_t seqno,
-    const std::vector<UserSnapshotState>& users) {
-  const util::MutexLock lock(chain_mutex_);
-  ChainState& chain = chains_.at(shard);
-  const std::uint32_t crc =
-      write_shard_snapshot(snapshot_path(shard), seqno, users);
-  // The full snapshot now covers every segment; delete them. A crash
-  // mid-loop leaves stale segments that recovery recognizes (seqno at or
-  // below the full's) and skips.
-  for (std::uint64_t i = chain.oldest_index; i < chain.next_index; ++i) {
-    ::unlink(
-        incremental_snapshot_path_in(config_.data_dir, shard, i).c_str());
+void Durability::checkpoint(std::size_t shard, std::uint64_t seqno,
+                            std::vector<UserSnapshotState> users) {
+  {
+    const util::MutexLock lock(chain_mutex_);
+    ChainState& chain = chains_.at(shard);
+    const bool root = chain.wants_root();
+    Checkpoint segment;
+    segment.index = chain.next_index;
+    if (!root) segment.parent_crc = chain.last_crc;
+    segment.seqno = seqno;
+    segment.users = std::move(users);
+    const CheckpointWriteResult wrote = write_checkpoint_file(
+        checkpoint_path_in(config_.data_dir, shard, segment.index), segment);
+    if (root) {
+      // The durable root covers every segment below it; unlink them. A
+      // crash mid-loop leaves leftovers that recovery recognizes (seqno at
+      // or below the root's) and skips.
+      for (std::uint64_t i = segment.index - chain.segments; i < segment.index;
+           ++i) {
+        ::unlink(checkpoint_path_in(config_.data_dir, shard, i).c_str());
+      }
+      chain.segments = 1;
+    } else {
+      ++chain.segments;
+      inc_bytes_.fetch_add(wrote.bytes, std::memory_order_relaxed);
+    }
+    chain.next_index = segment.index + 1;
+    chain.last_crc = wrote.crc;
   }
-  chain.last_crc = crc;
-  chain.segments = 0;
-  chain.oldest_index = chain.next_index;
-}
-
-void Durability::write_incremental_snapshot(
-    std::size_t shard, std::uint64_t seqno,
-    std::vector<UserSnapshotState> dirty_users) {
-  const util::MutexLock lock(chain_mutex_);
-  ChainState& chain = chains_.at(shard);
-  IncrementalSnapshot snap;
-  snap.index = chain.next_index;
-  snap.parent_crc = chain.last_crc;
-  snap.seqno = seqno;
-  snap.users = std::move(dirty_users);
-  const IncrementalWriteResult result = write_incremental_snapshot_file(
-      incremental_snapshot_path_in(config_.data_dir, shard, snap.index), snap);
-  ++chain.next_index;
-  chain.last_crc = result.crc;
-  ++chain.segments;
-  inc_bytes_.fetch_add(result.bytes, std::memory_order_relaxed);
+  // Outside chain_mutex_: a WAL's io mutex is never taken under it.
+  wals_.at(shard)->truncate();
+  snapshots_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Durability::sync_all() {

@@ -1,7 +1,7 @@
 // sbx/serve/recovery.h
 //
 // Crash-safe persistence for the serving layer: the data-directory layout,
-// the per-shard overlay snapshots (full + incremental chain), the startup
+// the per-shard checkpoint chains, the startup
 // manifest and the group-commit fsync window. The recovery replay itself
 // is ServeFrontend's: a frontend constructed with a Durability rebuilds
 // itself from the data dir to the exact state an uninterrupted run would
@@ -12,33 +12,40 @@
 //
 //   <data-dir>/MANIFEST            topology fingerprint (text)
 //   <data-dir>/shard-NNNN/wal.log  mutation log (wal.h framing)
-//   <data-dir>/shard-NNNN/snapshot.db
-//                                  last full checkpoint of the shard
 //   <data-dir>/shard-NNNN/snap-NNNNNN.inc
-//                                  incremental segments: only the users
-//                                  dirtied since the previous checkpoint,
-//                                  CRC-chained parent -> child
+//                                  checkpoint segments, one index
+//                                  sequence per shard
+//
+// Every checkpoint is one file kind: a header (index, parent, seqno,
+// users), the user states, and a trailing `crc` line over all of it. A
+// root segment (parent "root") holds every user with state; the first
+// checkpoint of a shard without a chain is a root, and so is every
+// compaction. Any other segment holds only the users dirtied since its
+// predecessor and names the predecessor's content CRC as its parent.
 //
 // Recovery invariant: overlay contents after recovery (durable or
 // mirror) are bit-identical to an uninterrupted process that
-// applied the same mutations — snapshots embed exact TokenDatabase::save()
-// bytes, and WAL replay re-tokenizes the logged raw message text through
-// the identical pipeline the live request took. (Overlay *generation*
-// stamps are process-local and differ across restarts by design; nothing
-// durable depends on them.)
+// applied the same mutations — checkpoints embed exact
+// TokenDatabase::save() bytes, and WAL replay re-tokenizes the logged raw
+// message text through the identical pipeline the live request took.
+// (Overlay *generation* stamps are process-local and differ across
+// restarts by design; nothing durable depends on them.)
 //
-// Snapshot atomicity: snapshots are written tmp → fsync → rename → fsync
+// Checkpoint atomicity: segments are written tmp → fsync → rename → fsync
 // parent dir, then the WAL is truncated. A crash between rename and
-// truncate is safe because the snapshot records the highest folded seqno:
+// truncate is safe because the segment records the highest folded seqno:
 // installing the chain raises each shard's applied watermark to it, and
 // ModelShard::apply_logged skips records at or below the watermark.
 //
-// Incremental chain: each segment stores its parent's content CRC, so
-// recovery can prove the chain is unbroken (full snapshot → seg 1 → … →
-// seg N). A segment that fails its own CRC or breaks the parent link is
-// unrecoverable corruption and throws — EXCEPT segments provably older
-// than the full snapshot (seqno at or below the full's), which are
-// leftovers of a compaction interrupted mid-delete and are skipped.
+// The live chain is the newest segment, walked back through parent CRCs
+// to a root. A segment that fails its CRC, or that does not reach a root,
+// is unrecoverable corruption and throws — EXCEPT segments below the root
+// whose seqno is at or below the root's: those are leftovers of a
+// compaction interrupted between the root's rename and the unlinks, which
+// a read-only mirror skips and a durable frontend deletes. A data dir
+// checkpointed by an older layout (shard-NNNN/snapshot.db, or segments
+// with the SBXSNAPINC 1 magic) is refused: the WAL no longer holds what
+// those files fold in.
 //
 // Group commit (fsync=batch): appends mark their log dirty and draw a
 // commit ticket; Durability::await_durable makes the first waiter in a
@@ -72,18 +79,16 @@ struct DurabilityConfig {
   std::uint64_t snapshot_every = 0;
 };
 
-/// An incremental chain longer than this is compacted into a fresh full
-/// snapshot at the next checkpoint (bounds recovery's segment walk).
+/// A chain with this many segments past its root is compacted into a new
+/// root at the next checkpoint (bounds recovery's segment walk).
 inline constexpr std::uint64_t kCompactChainAfterSegments = 8;
 
 // --- Paths -----------------------------------------------------------------
 
 std::string shard_dir(const std::string& data_dir, std::size_t shard);
 std::string wal_path_in(const std::string& data_dir, std::size_t shard);
-std::string snapshot_path_in(const std::string& data_dir, std::size_t shard);
-std::string incremental_snapshot_path_in(const std::string& data_dir,
-                                         std::size_t shard,
-                                         std::uint64_t index);
+std::string checkpoint_path_in(const std::string& data_dir, std::size_t shard,
+                               std::uint64_t index);
 
 // --- Manifest --------------------------------------------------------------
 
@@ -106,84 +111,69 @@ void write_manifest(const std::string& data_dir, const Manifest& manifest);
 /// nullopt when no manifest exists; throws ParseError on a corrupt one.
 std::optional<Manifest> read_manifest(const std::string& data_dir);
 
-// --- Shard snapshots -------------------------------------------------------
+// --- Checkpoints -----------------------------------------------------------
 
-/// One user's durable state inside a shard snapshot.
+/// One user's durable state inside a checkpoint.
 struct UserSnapshotState {
   std::uint64_t uid = 0;
   OverlaySnapshot overlay;          // null = user has no overlay
   std::vector<DedupEntry> dedup;    // oldest first
 };
 
-struct ShardSnapshot {
-  std::uint64_t seqno = 0;  // highest seqno folded into this snapshot
+/// One checkpoint segment (see the header comment).
+struct Checkpoint {
+  std::uint64_t index = 0;                  // position in the file name
+  std::optional<std::uint32_t> parent_crc;  // predecessor's; nullopt = root
+  std::uint64_t seqno = 0;  // highest seqno folded into this segment
   std::vector<UserSnapshotState> users;
+
+  bool root() const { return !parent_crc.has_value(); }
 };
 
-/// Atomically replaces the snapshot at `path` (tmp + fsync + rename +
-/// parent dir fsync). Users with a null overlay and no dedup entries are
-/// skipped. Returns the CRC32 of the written file content — the chain
-/// anchor for subsequent incremental segments.
-std::uint32_t write_shard_snapshot(const std::string& path,
-                                   std::uint64_t seqno,
-                                   const std::vector<UserSnapshotState>& users);
-
-/// nullopt when the file does not exist; throws ParseError on corruption
-/// (a damaged snapshot is unrecoverable state loss and must fail loudly,
-/// unlike a torn WAL tail which is expected after a crash).
-std::optional<ShardSnapshot> read_shard_snapshot(const std::string& path);
-
-/// One incremental segment: the users dirtied since the parent checkpoint.
-struct IncrementalSnapshot {
-  std::uint64_t index = 0;       // position in the chain file name
-  std::uint64_t seqno = 0;       // highest seqno folded into this segment
-  std::uint32_t parent_crc = 0;  // content CRC of the predecessor
-  std::vector<UserSnapshotState> users;
-};
-
-struct IncrementalWriteResult {
+struct CheckpointWriteResult {
   std::uint32_t crc = 0;    // content CRC (the next segment's parent)
   std::uint64_t bytes = 0;  // file size written
 };
 
-/// Atomically writes one chain segment; its trailing `crc` line commits
-/// the content CRC the next segment must name as parent.
-IncrementalWriteResult write_incremental_snapshot_file(
-    const std::string& path, const IncrementalSnapshot& snap);
+/// Atomically writes one segment (tmp + fsync + rename + parent dir
+/// fsync); its trailing `crc` line commits the content CRC the next
+/// segment must name as parent.
+CheckpointWriteResult write_checkpoint_file(const std::string& path,
+                                            const Checkpoint& checkpoint);
 
-/// nullopt when the file does not exist; throws ParseError when the
-/// trailing CRC does not cover the bytes (corruption is loud). On success
-/// `out_crc`, if non-null, receives the validated content CRC.
-std::optional<IncrementalSnapshot> read_incremental_snapshot_file(
+/// nullopt when the file does not exist. Checks the trailing CRC over the
+/// whole content before it parses a single count, and bounds every count
+/// by the bytes left, so a damaged or legacy file throws ParseError naming
+/// `path` (a damaged checkpoint is unrecoverable state loss and must fail
+/// loudly, unlike a torn WAL tail which is expected after a crash). On
+/// success `out_crc`, if non-null, receives the validated content CRC.
+std::optional<Checkpoint> read_checkpoint_file(
     const std::string& path, std::uint32_t* out_crc = nullptr);
 
 /// Everything recovery (and Durability::adopt_chain) needs to know about
 /// one shard's checkpoint chain on disk.
 struct SnapshotChainScan {
-  std::optional<ShardSnapshot> full;
-  std::vector<IncrementalSnapshot> segments;  // live chain, ascending index
+  std::vector<Checkpoint> segments;  // live chain: root first, ascending
   std::uint64_t snapshot_seqno = 0;  // effective checkpoint watermark
   std::uint32_t tail_crc = 0;        // CRC the next segment chains onto
-  std::uint64_t next_index = 1;      // 1 + highest segment index on disk
-  std::uint64_t oldest_index = 1;    // lowest segment index on disk
-  std::vector<std::string> stale_paths;  // pre-compaction leftovers
+  std::vector<std::string> stale_paths;  // compaction leftovers
 };
 
-/// Loads and validates one shard's full snapshot + incremental chain.
-/// Throws ParseError on a broken chain that cannot be explained as
-/// compaction leftovers (see the header comment).
+/// Loads and validates one shard's checkpoint chain. Throws ParseError on
+/// a chain that cannot be explained as a root plus compaction leftovers,
+/// and on a legacy layout (see the header comment).
 SnapshotChainScan scan_snapshot_chain(const std::string& data_dir,
                                       std::size_t shard);
 
 // --- Durability (live write side) ------------------------------------------
 
 /// Owns the open WAL writers, the global mutation seqno counter, the
-/// group-commit window and the per-shard snapshot chains for a serving
+/// group-commit window and the per-shard checkpoint chains for a serving
 /// process. Constructed once, attached to the frontend's shards.
 class Durability {
  public:
   /// Creates the data-dir layout and opens one WalWriter per shard. The
-  /// snapshot chains start empty; a frontend's recovery adopts the chains
+  /// checkpoint chains start empty; a frontend's recovery adopts the chains
   /// it finds on disk before any checkpoint extends them.
   Durability(DurabilityConfig config, std::size_t shard_count);
 
@@ -193,9 +183,6 @@ class Durability {
   const DurabilityConfig& config() const { return config_; }
   std::size_t shard_count() const { return wals_.size(); }
   WalWriter& wal(std::size_t shard) { return *wals_.at(shard); }
-  std::string snapshot_path(std::size_t shard) const {
-    return snapshot_path_in(config_.data_dir, shard);
-  }
   std::uint64_t snapshot_every() const { return config_.snapshot_every; }
 
   /// Next global mutation seqno (strictly increasing across all shards).
@@ -227,29 +214,27 @@ class Durability {
     return windows_.load(std::memory_order_relaxed);
   }
 
-  // --- Snapshot chain ------------------------------------------------------
+  // --- Checkpoint chain ----------------------------------------------------
 
   /// Continues `shard`'s checkpoint chain from the tail `scan` found.
   void adopt_chain(std::size_t shard, const SnapshotChainScan& scan)
       SBX_EXCLUDES(chain_mutex_);
 
-  /// True when the next checkpoint of `shard` must be a full snapshot
-  /// (chain too long, time to compact).
-  bool snapshot_wants_full(std::size_t shard) SBX_EXCLUDES(chain_mutex_);
+  /// True when the next checkpoint of `shard` is a root: the shard has
+  /// no chain yet, or its chain is due for compaction. A root must carry
+  /// every user with state, any other checkpoint the users dirtied since
+  /// the last one. Per-shard calls are serialized by the shard's mutation
+  /// lock, so the answer holds until that shard's next checkpoint().
+  bool checkpoint_wants_root(std::size_t shard) SBX_EXCLUDES(chain_mutex_);
 
-  /// Writes a full snapshot and deletes the shard's segment files (the
-  /// compaction step). The caller still owns WAL truncation.
-  void write_full_snapshot(std::size_t shard, std::uint64_t seqno,
-                           const std::vector<UserSnapshotState>& users)
+  /// Writes `shard`'s next checkpoint segment, folding everything up to
+  /// `seqno`; once a root is durable, the segments below it are unlinked.
+  /// Then truncates the shard's WAL and counts the checkpoint.
+  void checkpoint(std::size_t shard, std::uint64_t seqno,
+                  std::vector<UserSnapshotState> users)
       SBX_EXCLUDES(chain_mutex_);
 
-  /// Appends one incremental segment (the users dirtied since the last
-  /// checkpoint) to the shard's chain. The caller still owns WAL
-  /// truncation.
-  void write_incremental_snapshot(std::size_t shard, std::uint64_t seqno,
-                                  std::vector<UserSnapshotState> dirty_users)
-      SBX_EXCLUDES(chain_mutex_);
-
+  /// Bytes written in segments that are not roots.
   std::uint64_t incremental_snapshot_bytes() const {
     return inc_bytes_.load(std::memory_order_relaxed);
   }
@@ -264,22 +249,22 @@ class Durability {
   std::uint64_t snapshots_taken() const {
     return snapshots_.load(std::memory_order_relaxed);
   }
-  void note_snapshot() {
-    snapshots_.fetch_add(1, std::memory_order_relaxed);
-  }
 
  private:
   /// One shard's checkpoint-chain tail, extended under chain_mutex_.
   struct ChainState {
     std::uint64_t next_index = 1;
     std::uint32_t last_crc = 0;
-    std::uint64_t segments = 0;
-    std::uint64_t oldest_index = 1;  // lowest segment file still on disk
+    std::uint64_t segments = 0;  // live segments, root included; 0 = none
+
+    bool wants_root() const {
+      return segments == 0 || segments > kCompactChainAfterSegments;
+    }
   };
 
   // config_ and wals_ are const after the constructor (the WalWriters
   // themselves serialize their file state behind their own io mutex);
-  // counters are atomics; the commit window and the snapshot chains have
+  // counters are atomics; the commit window and the checkpoint chains have
   // their own mutexes below.
   DurabilityConfig config_;
   std::vector<std::unique_ptr<WalWriter>> wals_;
@@ -294,9 +279,10 @@ class Durability {
   std::uint64_t committed_ SBX_GUARDED_BY(commit_mutex_) = 0;
   std::atomic<std::uint64_t> windows_{0};
 
-  // Snapshot chains, one per shard. File writes happen under the mutex —
-  // checkpoints are rare and per-shard callers already hold their shard's
-  // mutation lock, so contention here is a non-event.
+  // Checkpoint chains, one per shard. File writes happen under the mutex
+  // (WAL truncation after it) — checkpoints are rare and per-shard callers
+  // already hold their shard's mutation lock, so contention here is a
+  // non-event.
   util::Mutex chain_mutex_{util::LockRank::kChain,
                            "Durability::chain_mutex_"};
   std::vector<ChainState> chains_ SBX_GUARDED_BY(chain_mutex_);
@@ -307,7 +293,7 @@ class Durability {
 
 struct RecoveryStats {
   std::uint64_t snapshot_users = 0;      // user entries restored from the chain
-  std::uint64_t snapshot_segments = 0;   // incremental segments applied
+  std::uint64_t snapshot_segments = 0;   // chain segments applied, roots too
   std::uint64_t replayed_records = 0;    // WAL records re-applied
   std::uint64_t torn_dropped = 0;        // torn/corrupt tail frames dropped
   std::uint64_t duration_ms = 0;
@@ -315,15 +301,16 @@ struct RecoveryStats {
 };
 
 /// Fills `frontend`, a read-only mirror (sbx_loadgen --verify-data-dir,
-/// tests), from `data_dir`: per shard, installs the full snapshot (if
-/// any), folds the incremental chain over it (later segments override
-/// earlier users), then replays WAL records with seqno above the chain's
-/// watermark, through the same path a durable frontend's own recovery and
-/// a standby's shipped records take. It never writes to `data_dir`: a
-/// torn WAL tail is dropped from the replay, not from the file. The
-/// frontend must be freshly constructed with the manifest's topology and
-/// without a Durability (InvalidArgument otherwise: a durable frontend
-/// recovers, and repairs, its own data dir when constructed).
+/// tests), from `data_dir`: per shard, installs the checkpoint chain from
+/// its root (later segments override earlier users), then replays WAL
+/// records with seqno above the chain's watermark, through the same path a
+/// durable frontend's own recovery and a standby's shipped records take.
+/// It never writes to `data_dir`: a torn WAL tail is dropped from the
+/// replay, not from the file, and compaction leftovers are skipped, not
+/// deleted. The frontend must be freshly constructed with the manifest's
+/// topology and without a Durability (InvalidArgument otherwise: a
+/// durable frontend recovers, and repairs, its own data dir when
+/// constructed).
 RecoveryStats recover(ServeFrontend& frontend, const std::string& data_dir);
 
 }  // namespace sbx::serve

@@ -195,40 +195,23 @@ void ModelShard::note_checkpoint(std::uint64_t seqno) {
 void ModelShard::maybe_snapshot() {
   const std::uint64_t every = durability_->snapshot_every();
   if (every == 0) return;
-  WalWriter& wal = durability_->wal(shard_index_);
-  if (wal.records_since_truncate() < every) return;
+  if (durability_->wal(shard_index_).records_since_truncate() < every) return;
 
-  if (durability_->snapshot_wants_full(shard_index_)) {
-    // Compaction: fold the whole chain into a fresh full snapshot.
-    std::vector<UserSnapshotState> state;
-    state.reserve(user_count_);
-    for (std::size_t i = 0; i < user_count_; ++i) {
-      UserSnapshotState u;
-      u.uid = uid_of_local_[i];
-      u.overlay = users_[i].snapshot();
-      u.dedup.assign(dedup_[i].begin(), dedup_[i].end());
-      if (u.overlay != nullptr || !u.dedup.empty()) {
-        state.push_back(std::move(u));
-      }
-    }
-    durability_->write_full_snapshot(shard_index_, last_seqno_, state);
-  } else {
-    // Incremental: only the users dirtied since the last checkpoint.
-    std::vector<UserSnapshotState> dirty;
-    for (std::size_t i = 0; i < user_count_; ++i) {
-      if (dirty_[i] == 0) continue;
-      UserSnapshotState u;
-      u.uid = uid_of_local_[i];
-      u.overlay = users_[i].snapshot();
-      u.dedup.assign(dedup_[i].begin(), dedup_[i].end());
-      dirty.push_back(std::move(u));
-    }
-    durability_->write_incremental_snapshot(shard_index_, last_seqno_,
-                                            std::move(dirty));
+  // A root holds every user with state, any other checkpoint the users
+  // dirtied since the last one.
+  const bool root = durability_->checkpoint_wants_root(shard_index_);
+  std::vector<UserSnapshotState> users;
+  for (std::size_t i = 0; i < user_count_; ++i) {
+    if (!root && dirty_[i] == 0) continue;
+    UserSnapshotState u;
+    u.uid = uid_of_local_[i];
+    u.overlay = users_[i].snapshot();
+    u.dedup.assign(dedup_[i].begin(), dedup_[i].end());
+    if (u.overlay == nullptr && u.dedup.empty()) continue;  // nothing to keep
+    users.push_back(std::move(u));
   }
+  durability_->checkpoint(shard_index_, last_seqno_, std::move(users));
   std::fill(dirty_.begin(), dirty_.end(), 0);
-  wal.truncate();
-  durability_->note_snapshot();
 }
 
 void ModelShard::record_classified(std::size_t local, std::uint64_t messages) {

@@ -210,9 +210,10 @@ class ModelShard {
   std::vector<std::uint64_t> uid_of_local_ SBX_GUARDED_BY(mutation_mutex_);
   // Per local slot, FIFO.
   std::vector<std::deque<DedupEntry>> dedup_ SBX_GUARDED_BY(mutation_mutex_);
-  // Per local slot: mutated since the last checkpoint (feeds incremental
-  // snapshots; snapshot installs are clean by definition). Replay marks
-  // too: the next checkpoint truncates the WAL those users came from.
+  // Per local slot: mutated since the last checkpoint (feeds the segments
+  // that are not roots; checkpoint installs are clean by definition).
+  // Replay marks too: the next checkpoint truncates the WAL those users
+  // came from.
   std::vector<std::uint8_t> dirty_ SBX_GUARDED_BY(mutation_mutex_);
   std::atomic<std::uint64_t> deduped_{0};
 };

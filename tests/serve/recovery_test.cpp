@@ -1,7 +1,9 @@
-// Crash-recovery tests: snapshot+WAL replay rebuilds a frontend whose
+// Crash-recovery tests: checkpoint+WAL replay rebuilds a frontend whose
 // classify scores are bit-identical to an uninterrupted run, torn tails
 // are dropped (and repaired only when asked), dedup windows survive
-// recovery, and the manifest round-trips.
+// recovery, the manifest round-trips, checkpoint files are CRC-checked
+// before any count in them is trusted, compaction leftovers are skipped
+// (and deleted by a durable reopen), and legacy layouts are refused.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -9,7 +11,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "serve/frontend.h"
 #include "serve/recovery.h"
 #include "serve/wal.h"
+#include "util/crc32.h"
 #include "util/error.h"
 #include "util/random.h"
 
@@ -276,10 +281,11 @@ TEST(Recovery, DedupWindowSurvivesSnapshotting) {
   EXPECT_EQ(recovered->stats().deduped_mutations, 1u);
 }
 
-// Replay runs before the WAL is attached, and must still mark every user
-// it restores dirty: the first checkpoint after recovery is incremental
-// and then truncates the WAL those users were replayed from. Trains on
-// users the WAL-only run never touched trigger that checkpoint.
+// The first checkpoint after recovery truncates the WAL the replay read
+// its users from, so it must carry them. After a WAL-only run that
+// checkpoint is a root; trains on users the WAL-only run never touched
+// trigger it. (DeltaAfterRecoveryKeepsTheUsersReplayRestored covers a
+// data dir that already has a chain.)
 TEST(Recovery, CheckpointAfterRecoveryKeepsTheUsersReplayRestored) {
   TempDataDir dir("replaydirty");
   constexpr std::uint64_t kEvery = 3;
@@ -332,6 +338,50 @@ TEST(Recovery, CheckpointAfterRecoveryKeepsTheUsersReplayRestored) {
   expect_bit_identical(*recovered, *reference, 81);
 }
 
+// Replay runs before the WAL is attached, and must still mark every user
+// it restores dirty: over an existing chain the first checkpoint after
+// recovery is not a root, so it carries only the dirty users, and then
+// truncates the WAL those users were replayed from.
+TEST(Recovery, DeltaAfterRecoveryKeepsTheUsersReplayRestored) {
+  TempDataDir dir("replaydelta");
+  constexpr int kEvery = 3;
+  const auto msgs = make_messages(2 * kEvery + 1, 71);
+  auto reference = memory_frontend();
+  std::vector<std::uint64_t> uids;  // three users of shard 0
+  for (std::uint64_t uid = 0; uid < kUsers && uids.size() < 3; ++uid) {
+    if (reference->route(uid).shard == 0) uids.push_back(uid);
+  }
+  ASSERT_EQ(uids.size(), 3u);
+  std::size_t next_msg = 0;
+  const auto train = [&](ServeFrontend& frontend, std::uint64_t uid) {
+    TrainRequest t;
+    t.user_id = uid;
+    t.as_spam = next_msg % 2 == 0;
+    t.message = msgs[next_msg];
+    frontend.train(t);
+    reference->train(t);
+    ++next_msg;
+  };
+  {
+    // The root checkpoint holds the first user; the second one's train
+    // stays in the WAL.
+    auto durable = durable_frontend(dir.path, kEvery);
+    for (int i = 0; i < kEvery; ++i) train(*durable, uids[0]);
+    train(*durable, uids[1]);
+  }
+  {
+    auto reopened = durable_frontend(dir.path, kEvery);
+    EXPECT_EQ(reopened->stats().recovery_replayed_records, 1u);
+    for (int i = 0; i < kEvery; ++i) train(*reopened, uids[2]);
+    ASSERT_EQ(reopened->durability()->snapshots_taken(), 1u);
+    ASSERT_TRUE(std::filesystem::exists(checkpoint_path_in(dir.path, 0, 2)));
+    ASSERT_EQ(std::filesystem::file_size(wal_path_in(dir.path, 0)), 0u);
+  }
+  auto recovered = memory_frontend();
+  recover(*recovered, dir.path);
+  expect_bit_identical(*recovered, *reference, 85);
+}
+
 // recover() is the read-only mirror's entry point: a durable frontend has
 // already recovered, and repaired, its own data dir when it was built.
 TEST(Recovery, RecoverRefusesADurableFrontend) {
@@ -370,14 +420,13 @@ TEST(Recovery, CorruptSnapshotFailsLoudly) {
     apply_workload(*durable, 3, 41);
     ASSERT_GT(durable->durability()->snapshots_taken(), 0u);
   }
-  // Checkpoints now build an incremental chain; the first segment is the
-  // chain root. Damage its header: unlike a torn WAL tail this is NOT an
+  // Checkpoints build a chain; the first segment is the chain root.
+  // Damage its header: unlike a torn WAL tail this is NOT an
   // expected crash artifact, so recovery must refuse rather than serve
   // silently wrong state.
   std::string snap;
   for (std::size_t shard = 0; shard < 2; ++shard) {
-    const std::string candidate = incremental_snapshot_path_in(dir.path,
-                                                               shard, 1);
+    const std::string candidate = checkpoint_path_in(dir.path, shard, 1);
     if (std::filesystem::exists(candidate)) {
       snap = candidate;
       break;
@@ -391,6 +440,185 @@ TEST(Recovery, CorruptSnapshotFailsLoudly) {
   }
   auto frontend = memory_frontend();
   EXPECT_THROW(recover(*frontend, dir.path), ParseError);
+}
+
+/// Expects `fn` to throw ParseError whose message names `path`. Any other
+/// exception (length_error, bad_alloc) escapes and fails the test.
+template <typename Fn>
+void expect_parse_error_naming(const std::string& path, Fn fn) {
+  try {
+    fn();
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "no ParseError for " << path;
+}
+
+/// Writes `content` plus the trailing crc line that signs it.
+void write_signed(const std::string& path, const std::string& content) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << content << "crc " << util::crc32(content.data(), content.size())
+      << "\n";
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Trains `count` messages, alternating spam and ham, on the users of
+/// shard 0 in turn.
+void train_shard0(ServeFrontend& frontend, int count, std::uint64_t seed) {
+  std::vector<std::uint64_t> uids;
+  for (std::uint64_t uid = 0; uid < kUsers; ++uid) {
+    if (frontend.route(uid).shard == 0) uids.push_back(uid);
+  }
+  ASSERT_FALSE(uids.empty());
+  const auto msgs = make_messages(count, seed);
+  for (int i = 0; i < count; ++i) {
+    TrainRequest t;
+    t.user_id = uids[static_cast<std::size_t>(i) % uids.size()];
+    t.as_spam = i % 2 == 0;
+    t.message = msgs[static_cast<std::size_t>(i)];
+    frontend.train(t);
+  }
+}
+
+// The trailing CRC covers a count that is wrong: the reader must refuse it
+// as a ParseError naming the file, never size an allocation by it.
+TEST(Recovery, CountsUnderAValidCrcAreBoundedByTheFile) {
+  TempDataDir dir("counts");
+  std::filesystem::create_directories(dir.path);
+  const std::string path = dir.path + "/snap-000001.inc";
+  const std::string header = "SBXCKPT 1\nindex 1\nparent root\nseqno 5\n";
+  for (const char* users : {"1000000000000000000", "1000000000000"}) {
+    write_signed(path, header + "users " + users + "\n");
+    expect_parse_error_naming(path, [&] { read_checkpoint_file(path); });
+  }
+  write_signed(path, header +
+                         "users 1\nuser 3 0 1\ndbbytes 1000000000000\n"
+                         "SBXDB 1\n1 0\n\n");
+  expect_parse_error_naming(path, [&] { read_checkpoint_file(path); });
+}
+
+// A root (a compaction, or a shard's first checkpoint) with no segment
+// after it is the whole checkpointed state: one flipped count digit in its
+// database block must fail recovery, not be served.
+TEST(Recovery, FlippedCountInARootFailsRecovery) {
+  // 1 record: the first checkpoint. 10 records: root 1, segments 2-9,
+  // then the compaction root 10.
+  for (const int records : {1, 10}) {
+    TempDataDir dir("rootflip" + std::to_string(records));
+    {
+      auto durable = durable_frontend(dir.path, /*snapshot_every=*/1);
+      train_shard0(*durable, records, 53);
+    }
+    const std::string path =
+        checkpoint_path_in(dir.path, 0, static_cast<std::uint64_t>(records));
+    const auto root = read_checkpoint_file(path);
+    ASSERT_TRUE(root.has_value());
+    ASSERT_TRUE(root->root());
+    ASSERT_FALSE(std::filesystem::exists(checkpoint_path_in(
+        dir.path, 0, static_cast<std::uint64_t>(records) + 1)));
+    if (records > 1) {
+      ASSERT_FALSE(std::filesystem::exists(checkpoint_path_in(dir.path, 0, 1)));
+    }
+    // The first token line after the database's "nspam nham" line starts
+    // with that token's spam count.
+    std::string bytes = read_bytes(path);
+    const std::size_t db = bytes.find("SBXDB 1\n");
+    ASSERT_NE(db, std::string::npos);
+    const std::size_t token = bytes.find('\n', db + 8) + 1;
+    char& digit = bytes[token];
+    ASSERT_TRUE(digit >= '0' && digit <= '9');
+    digit = digit == '9' ? '8' : '9';
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    auto mirror = memory_frontend();
+    expect_parse_error_naming(path, [&] { recover(*mirror, dir.path); });
+    expect_parse_error_naming(path, [&] { durable_frontend(dir.path, 1); });
+  }
+}
+
+// Layouts written before every checkpoint carried its own CRC and root
+// marker are refused: skipping them would lose every user the truncated
+// WAL no longer holds.
+TEST(Recovery, LegacySnapshotDbIsRefused) {
+  TempDataDir dir("legacyfull");
+  { apply_workload(*durable_frontend(dir.path, 0), 5, 59); }
+  const std::string path = shard_dir(dir.path, 0) + "/snapshot.db";
+  std::ofstream(path) << "SBXSNAP 1\nseqno 3\nusers 0\n";
+  auto mirror = memory_frontend();
+  expect_parse_error_naming(path, [&] { recover(*mirror, dir.path); });
+  expect_parse_error_naming(path, [&] { durable_frontend(dir.path, 0); });
+}
+
+TEST(Recovery, LegacySegmentMagicIsRefused) {
+  TempDataDir dir("legacyinc");
+  { apply_workload(*durable_frontend(dir.path, 0), 5, 61); }
+  const std::string path = checkpoint_path_in(dir.path, 0, 1);
+  write_signed(path, "SBXSNAPINC 1\nindex 1\nparent_crc 0\nseqno 3\nusers 0\n");
+  auto mirror = memory_frontend();
+  expect_parse_error_naming(path, [&] { recover(*mirror, dir.path); });
+  expect_parse_error_naming(path, [&] { durable_frontend(dir.path, 0); });
+}
+
+// A crash between a compaction root's rename and the unlinks leaves the
+// segments below the root on disk. Put copies of them back: the mirror
+// skips them, and a durable reopen deletes them.
+TEST(Recovery, CompactionLeftoversAreSkippedThenDeleted) {
+  TempDataDir dir("leftovers");
+  auto reference = memory_frontend();
+  std::map<std::string, std::string> seen;  // every segment ever on disk
+  {
+    auto durable = durable_frontend(dir.path, /*snapshot_every=*/1);
+    const auto msgs = make_messages(40, 67);
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      TrainRequest t;
+      t.user_id = i % kUsers;
+      t.as_spam = i % 3 == 0;
+      t.message = msgs[i];
+      t.request_id = i + 1;
+      durable->train(t);
+      reference->train(t);
+      for (std::size_t s = 0; s < kShards; ++s) {
+        for (const auto& entry :
+             std::filesystem::directory_iterator(shard_dir(dir.path, s))) {
+          const std::string name = entry.path().filename().string();
+          if (name.rfind("snap-", 0) == 0 && name.size() == 15) {
+            seen[entry.path().string()] = read_bytes(entry.path().string());
+          }
+        }
+      }
+    }
+  }
+  std::vector<std::string> restored;
+  for (const auto& [path, bytes] : seen) {
+    if (std::filesystem::exists(path)) continue;
+    std::ofstream(path, std::ios::binary) << bytes;
+    restored.push_back(path);
+  }
+  ASSERT_FALSE(restored.empty()) << "no shard compacted";
+
+  {
+    auto mirror = memory_frontend();
+    recover(*mirror, dir.path);
+    expect_bit_identical(*mirror, *reference, 83);
+    for (const std::string& path : restored) {
+      EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    }
+  }
+  { auto reopened = durable_frontend(dir.path, 1); }
+  for (const std::string& path : restored) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+  }
+  auto mirror = memory_frontend();
+  recover(*mirror, dir.path);
+  expect_bit_identical(*mirror, *reference, 84);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Replication tests: group-commit windows, incremental snapshot chains
-// (recovery bit-identity, broken-chain detection, compaction), WAL
+// Replication tests: group-commit windows, checkpoint chains (recovery
+// bit-identity, broken-chain detection, compaction), WAL
 // shipping to a live standby (bit-identical at the acked watermark),
 // promotion, client redirect following, and the never-retry-ParseError
 // contract.
@@ -198,7 +198,7 @@ TEST(GroupCommit, ConcurrentWaitersShareWindows) {
             static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
-// --- Incremental snapshot chain --------------------------------------------
+// --- Checkpoint chain ------------------------------------------------------
 
 TEST(IncrementalSnapshots, ChainRecoveryIsBitIdenticalAndCompactionKicksIn) {
   TempDataDir dir("chain");
@@ -209,11 +209,11 @@ TEST(IncrementalSnapshots, ChainRecoveryIsBitIdenticalAndCompactionKicksIn) {
     durable->sync_durability();
   }
   // 60 mutations / checkpoint-every-2 crosses kCompactChainAfterSegments,
-  // so at least one shard compacted into a full snapshot.
+  // so at least one shard compacted into a new root, unlinking segment 1.
   bool compacted = false;
   for (std::size_t s = 0; s < kShards; ++s) {
     compacted = compacted ||
-                std::filesystem::exists(snapshot_path_in(dir.path, s));
+                !std::filesystem::exists(checkpoint_path_in(dir.path, s, 1));
   }
   EXPECT_TRUE(compacted);
 
@@ -234,12 +234,12 @@ TEST(IncrementalSnapshots, MissingChainSegmentFailsLoudly) {
     durable->sync_durability();
   }
   // Find a shard with at least two segments and delete the older one: the
-  // newer segment's parent link now dangles and its state is beyond any
-  // full snapshot, which recovery must refuse to guess around.
+  // newer segment's parent link now dangles and no root is reachable,
+  // which recovery must refuse to guess around.
   bool removed = false;
   for (std::size_t s = 0; s < kShards && !removed; ++s) {
-    const std::string first = incremental_snapshot_path_in(dir.path, s, 1);
-    const std::string second = incremental_snapshot_path_in(dir.path, s, 2);
+    const std::string first = checkpoint_path_in(dir.path, s, 1);
+    const std::string second = checkpoint_path_in(dir.path, s, 2);
     if (std::filesystem::exists(first) && std::filesystem::exists(second)) {
       std::filesystem::remove(first);
       removed = true;
@@ -255,16 +255,15 @@ TEST(IncrementalSnapshots, SegmentFileRoundTripsWithCrc) {
   std::filesystem::create_directories(dir.path);
   const std::string path = dir.path + "/snap-000001.inc";
 
-  IncrementalSnapshot snap;
+  Checkpoint snap;
   snap.index = 1;
   snap.seqno = 42;
   snap.parent_crc = 0xDEADBEEF;
-  const IncrementalWriteResult wrote =
-      write_incremental_snapshot_file(path, snap);
+  const CheckpointWriteResult wrote = write_checkpoint_file(path, snap);
   EXPECT_GT(wrote.bytes, 0u);
 
   std::uint32_t crc = 0;
-  const auto back = read_incremental_snapshot_file(path, &crc);
+  const auto back = read_checkpoint_file(path, &crc);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->index, 1u);
   EXPECT_EQ(back->seqno, 42u);
@@ -277,7 +276,7 @@ TEST(IncrementalSnapshots, SegmentFileRoundTripsWithCrc) {
     f.seekp(12);
     f.write("X", 1);
   }
-  EXPECT_THROW(read_incremental_snapshot_file(path), ParseError);
+  EXPECT_THROW(read_checkpoint_file(path), ParseError);
 }
 
 // --- WAL shipping to a live standby ----------------------------------------

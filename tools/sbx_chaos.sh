@@ -134,8 +134,8 @@ start_replicated() {
 # promote_and_verify PREFIX MIRROR_DIR — promotes the standby with SIGUSR1
 # and verifies it against a mirror that replays MIRROR_DIR.
 promote_and_verify() {
-  STANDBY_WAL=$(cat "$STANDBY_DATA"/shard-*/wal.log "$STANDBY_DATA"/shard-*/snap-*.inc \
-                    "$STANDBY_DATA"/shard-*/snapshot.db 2>/dev/null | wc -c)
+  STANDBY_WAL=$(cat "$STANDBY_DATA"/shard-*/wal.log \
+                    "$STANDBY_DATA"/shard-*/snap-*.inc 2>/dev/null | wc -c)
   [ "$STANDBY_WAL" -gt 0 ] ||
     fail "standby durable state is empty — nothing was shipped before the kill"
   echo "sbx_chaos: $STANDBY_WAL standby durable bytes at the moment of failover"
