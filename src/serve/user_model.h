@@ -14,14 +14,20 @@
 // table. A train that would wrap a uint32 count throws from prepare(), so
 // the copy is discarded before anything is logged or published.
 //
-// What a copy costs: TokenDatabase keeps its counts in shared 2 KiB leaves
-// behind a spine (token_db.h), so prepare()'s copy is the spine alone, one
-// shared_ptr per 256 ids of the range the user has trained, and the train
-// then clones only the leaves its message's ids fall in. Every other leaf
-// stays shared with the published snapshot. A user whose overlay a
-// dictionary-attack email widened to ~100k ids pays ~400 refcount
-// increments per later train plus a few dozen leaf clones, not a copy of
-// every count up to the highest id they ever trained.
+// What a copy costs: TokenDatabase keeps its counts in shared leaves of
+// 256 ids behind a spine (token_db.h), so prepare()'s copy is the spine
+// alone, one 8-byte pointer per 256 ids of the range the user has
+// trained, and the train then clones only the leaves its message's ids
+// fall in. Every other leaf stays shared with the published snapshot. A
+// user's ids are scattered thinly over the id range, so most of their
+// leaves are sparse: a leaf counting n <= 32 ids occupies 48 bytes plus
+// room for n entries of 8 bytes, and only a leaf past 32 ids takes the
+// dense 2 KiB form. An ordinary user's overlay thus costs about 28 bytes
+// per counted token, and a train clones a few dozen small leaves. A user
+// whose overlay a dictionary-attack email widened to ~100k ids (386
+// dense leaves) pays ~400 refcount increments per later train plus a few
+// dozen leaf clones, not a copy of every count up to the highest id they
+// ever trained.
 //
 // Publication protocol (the lock-free read contract): mutations never
 // modify a published overlay. They copy it, mutate the copy, and publish

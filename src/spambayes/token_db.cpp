@@ -5,22 +5,10 @@
 #include <cstdint>
 #include <fstream>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 
 #include "util/error.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define SBX_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SBX_TSAN 1
-#endif
-#endif
-#ifndef SBX_TSAN
-#define SBX_TSAN 0
-#endif
 
 namespace sbx::spambayes {
 
@@ -31,79 +19,142 @@ std::uint64_t TokenDatabase::next_generation() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-TokenDatabase::Leaf& TokenDatabase::writable_leaf(std::size_t l) {
+TokenDatabase::Leaf* TokenDatabase::Leaf::make(std::size_t room) {
+  static_assert(sizeof(Leaf) == kLeafHeaderBytes);
+  static_assert(alignof(TokenCounts) <= alignof(Leaf));
+  void* raw = ::operator new(kLeafHeaderBytes + room * sizeof(TokenCounts));
+  Leaf* leaf = new (raw) Leaf;
+  leaf->room = static_cast<std::uint16_t>(room);
+  return leaf;
+}
+
+void TokenDatabase::Leaf::destroy(Leaf* leaf) {
+  const std::size_t bytes = leaf->bytes();
+  leaf->~Leaf();
+  ::operator delete(leaf, bytes);
+}
+
+TokenCounts& TokenDatabase::writable_entry(TokenId id,
+                                           std::span<const TokenId> ahead) {
+  const std::size_t l = id / kLeafEntries;
+  const std::size_t i = id % kLeafEntries;
   if (l >= spine_.size()) spine_.resize(l + 1);
-  std::shared_ptr<Leaf>& slot = spine_[l];
-  if (slot.use_count() == 1) {
-    // use_count() is a relaxed load. Reading 1 proves every other holder
-    // has dropped its reference, but another thread may have read the
-    // leaf just before its drop (a reader releasing an old snapshot). That
-    // drop is a release decrement of the count just read; an acquire fence
-    // after the read pairs with it, so those reads happen-before every
-    // write to the leaf that follows.
-#if SBX_TSAN
-    // TSan does not model fences (and GCC's -Wtsan rejects them). A copy
-    // and drop is an acq_rel increment/decrement of that same count: the
-    // same edge, in a form TSan sees.
-    std::shared_ptr<Leaf>(slot).reset();
-#else
-    std::atomic_thread_fence(std::memory_order_acquire);
-#endif
-    return *slot;
+  LeafPtr& slot = spine_[l];
+  const Leaf* leaf = slot.get();
+  // An acquire load of the count: reading 1 proves every other holder has
+  // dropped its reference, and each drop is a release decrement, so the
+  // reads another thread made through the leaf just before dropping it (a
+  // reader releasing an old snapshot) happen-before every write below.
+  const bool own =
+      leaf != nullptr && leaf->refs.load(std::memory_order_acquire) == 1;
+  if (own) {
+    if (TokenCounts* entry = slot->find(i)) return *entry;
+    if (leaf->size < leaf->room) return slot->insert(i);
   }
-  slot = slot == nullptr ? std::make_shared<Leaf>()
-                         : std::make_shared<Leaf>(*slot);
-  return *slot;
+  // A new leaf replaces this one: a clone of a shared leaf, a first leaf,
+  // or a sparse leaf grown or promoted. A dense leaf is cloned as is. A
+  // sparse one keeps only its nonzero entries, sized for those and the
+  // ones the caller writes next in this leaf: dense past kSparseMax, else
+  // with room for all, so the rest are written in place. Dropping zero
+  // entries loses nothing update() still needs: every entry a train has
+  // applied is nonzero, and an untrain inserts nothing (its check fails
+  // on an absent id first).
+  const Leaf& from = leaf != nullptr ? *leaf : kZeroLeaf;
+  const auto counted = [](const TokenCounts& c) {
+    return c.spam != 0 || c.ham != 0;
+  };
+  Leaf* fresh = nullptr;
+  if (from.dense()) {
+    fresh = Leaf::make(kLeafEntries);
+    std::copy_n(from.entries(), kLeafEntries, fresh->entries());
+  } else {
+    std::size_t stored = 0;  // its nonzero entries
+    from.for_each_entry(
+        [&](std::size_t, const TokenCounts& c) { stored += counted(c); });
+    std::size_t n = stored;
+    for (TokenId a : ahead) {  // stops once the leaf must be dense
+      if (a / kLeafEntries != l || n > kSparseMax) break;
+      n += !counted(from.get(a % kLeafEntries));
+    }
+    // A leaf of this database's own that filled up is being trained in
+    // place: grow it fourfold, so batch training allocates it at 4, 16,
+    // kSparseMax and past kSparseMax ids, not at every doubling.
+    if (own) n = std::max(n, std::min(4 * stored, kSparseMax));
+    if (n > kSparseMax) {
+      fresh = Leaf::make(kLeafEntries);
+      std::fill_n(fresh->entries(), kLeafEntries, TokenCounts{});
+      from.for_each_entry([&](std::size_t offset, const TokenCounts& c) {
+        fresh->entries()[offset] = c;
+      });
+    } else {
+      fresh = Leaf::make(sparse_room(n));
+      if (stored == from.size) {  // no zero entries: copy the leaf as is
+        fresh->size = from.size;
+        fresh->base = from.base;
+        fresh->bits = from.bits;
+        std::copy_n(from.entries(), from.size, fresh->entries());
+      } else {
+        from.for_each_entry([&](std::size_t offset, const TokenCounts& c) {
+          if (counted(c)) fresh->insert(offset) = c;
+        });
+      }
+    }
+  }
+  slot = LeafPtr(fresh);
+  TokenCounts* entry = fresh->find(i);
+  return entry != nullptr ? *entry : fresh->insert(i);
 }
 
 template <typename Check, typename Apply, typename Undo>
 std::size_t TokenDatabase::update(const TokenIdSet& ids, Check&& check,
                                   Apply&& apply, Undo&& undo) {
-  // One pass: each id's leaf is made writable, its counts checked, then
-  // changed. If a check throws, or cloning or creating a leaf throws
+  // One pass: each id's counts are checked, then its entry made writable
+  // and changed. If a check throws, or cloning or creating a leaf throws
   // bad_alloc, the ids already changed are undone before the exception
   // leaves, so the counts are as they were (a leaf cloned on the way keeps
   // equal contents). The spine is cached in locals and reloaded only after
-  // writable_leaf(), the one call that can move it. A database no other
-  // ever shared writes its existing leaves directly: the use_count() test
-  // and fence in writable_leaf() cost batch training and RONI's
-  // train/untrain 1.3-1.6x (README "Token counts").
+  // writable_entry(), the one call that can move it. A database no other
+  // ever shared writes the entries its leaves store directly: the reference
+  // count test and acquire in writable_entry() cost batch training and
+  // RONI's train/untrain 1.3-1.6x (README "Token counts").
   const TokenId* const first = ids.data();
   const TokenId* const last = first + ids.size();
   const TokenId* next = first;
   const bool never_shared = never_shared_.get();
-  std::shared_ptr<Leaf>* spine = spine_.data();
+  const LeafPtr* spine = spine_.data();
   std::size_t spine_size = spine_.size();
   std::size_t flipped = 0;
   try {
     while (next != last) {
-      // Existing leaves of a database no other ever shared are written in
-      // a loop with no call in it, so the running count stays in a
-      // register. With the call in the loop it lived on the stack, a
-      // store-to-load chain through every id that cost a train + untrain
-      // round trip ~25%.
+      // Stored entries of a database no other ever shared are written in a
+      // loop with no call in it, so the running count stays in a register.
+      // With the call in the loop it lived on the stack, a store-to-load
+      // chain through every id that cost a train + untrain round trip ~25%.
       std::size_t run = 0;
       for (; next != last; ++next) {
         const std::size_t l = *next / kLeafEntries;
         Leaf* leaf = never_shared && l < spine_size ? spine[l].get() : nullptr;
-        if (leaf == nullptr) break;
-        TokenCounts& c = leaf->entries[*next % kLeafEntries];
-        check(*next, c);
-        run += apply(c);
+        TokenCounts* c =
+            leaf != nullptr ? leaf->find(*next % kLeafEntries) : nullptr;
+        if (c == nullptr) break;
+        check(*next, *c);
+        run += apply(*c);
       }
       flipped += run;
       if (next == last) break;
-      TokenCounts& c =
-          writable_leaf(*next / kLeafEntries).entries[*next % kLeafEntries];
+      // Checked before the entry is made writable, so an untrain of an id
+      // this database does not count inserts nothing.
+      check(*next, counts(*next));
+      TokenCounts& c = writable_entry(
+          *next, {next, static_cast<std::size_t>(last - next)});
       spine = spine_.data();
       spine_size = spine_.size();
-      check(*next, c);
       flipped += apply(c);
       ++next;
     }
   } catch (...) {
     for (const TokenId* id = first; id != next; ++id) {
-      undo(spine_[*id / kLeafEntries]->entries[*id % kLeafEntries]);
+      undo(*spine_[*id / kLeafEntries]->find(*id % kLeafEntries));
     }
     throw;
   }
@@ -196,57 +247,71 @@ void TokenDatabase::untrain_ham_ids(const TokenIdSet& ids,
 }
 
 void TokenDatabase::merge(const TokenDatabase& other) {
-  // The same check-then-change pass as add(): class totals first, then
-  // every token count, so a merge that would wrap a count throws with the
-  // contents and generation_ untouched.
+  // Check and build, then commit. The class totals are checked first;
+  // then each leaf both sides hold is summed into a new leaf, checking
+  // every token count for a wrap. Only then does the spine change, by
+  // moves that cannot throw, so a wrap or a bad_alloc leaves the contents
+  // and generation_ untouched. On a self-merge both sides are the same
+  // leaves, all read before any is replaced, so every count doubles, as it
+  // should.
   if (nspam_ > UINT32_MAX - other.nspam_ || nham_ > UINT32_MAX - other.nham_) {
     throw InvalidArgument("TokenDatabase: merge overflows the email count");
   }
+  const auto counted = [](const TokenCounts& c) {
+    return c.spam != 0 || c.ham != 0;
+  };
+  std::vector<std::pair<std::size_t, LeafPtr>> merged;
+  std::size_t vocab = vocab_;
+  bool shares = false;
   for (std::size_t l = 0; l < other.spine_.size(); ++l) {
-    const Leaf* theirs = other.spine_[l].get();
+    const LeafPtr& theirs = other.spine_[l];
     if (theirs == nullptr) continue;
     const Leaf* mine = leaf_at(l);
-    for (std::size_t i = 0; i < kLeafEntries; ++i) {
-      if (mine->entries[i].spam > UINT32_MAX - theirs->entries[i].spam ||
-          mine->entries[i].ham > UINT32_MAX - theirs->entries[i].ham) {
-        const auto id = static_cast<TokenId>(l * kLeafEntries + i);
+    if (mine == &kZeroLeaf) {
+      // Nothing here to add to: share their leaf instead of copying it.
+      theirs->for_each_entry([&](std::size_t, const TokenCounts& c) {
+        vocab += counted(c);
+      });
+      merged.emplace_back(l, theirs);
+      shares = true;
+      continue;
+    }
+    std::array<TokenCounts, kLeafEntries> sum{};
+    mine->for_each_entry([&](std::size_t offset, const TokenCounts& c) {
+      sum[offset] = c;
+      vocab -= counted(c);
+    });
+    theirs->for_each_entry([&](std::size_t offset, const TokenCounts& c) {
+      TokenCounts& s = sum[offset];
+      if (s.spam > UINT32_MAX - c.spam || s.ham > UINT32_MAX - c.ham) {
+        const auto id = static_cast<TokenId>(l * kLeafEntries + offset);
         throw InvalidArgument(
             "TokenDatabase: merge overflows the count of token '" +
             std::string(global_interner().spelling(id)) + "'");
       }
+      s.spam += c.spam;
+      s.ham += c.ham;
+    });
+    const auto n = static_cast<std::size_t>(
+        std::count_if(sum.begin(), sum.end(), counted));
+    vocab += n;
+    LeafPtr leaf(Leaf::make(n > kSparseMax ? kLeafEntries : sparse_room(n)));
+    for (std::size_t i = 0; i < kLeafEntries; ++i) {
+      if (leaf->dense()) {
+        leaf->entries()[i] = sum[i];
+      } else if (counted(sum[i])) {
+        leaf->insert(i) = sum[i];
+      }
     }
+    merged.emplace_back(l, std::move(leaf));
   }
   if (other.spine_.size() > spine_.size()) spine_.resize(other.spine_.size());
-  // Clone every leaf both sides hold before the first count changes, as
-  // update() does: a clone can throw bad_alloc. On a self-merge this makes
-  // their leaf the one just made writable, so every count doubles, as it
-  // should.
-  for (std::size_t l = 0; l < other.spine_.size(); ++l) {
-    if (other.spine_[l] != nullptr && spine_[l] != nullptr) writable_leaf(l);
+  for (auto& [l, leaf] : merged) spine_[l] = std::move(leaf);
+  if (shares) {
+    never_shared_.clear();
+    other.never_shared_.clear();
   }
-  for (std::size_t l = 0; l < other.spine_.size(); ++l) {
-    if (other.spine_[l] == nullptr) continue;
-    if (spine_[l] == nullptr) {
-      // Nothing here to add to: share their leaf instead of copying it.
-      spine_[l] = other.spine_[l];
-      never_shared_.clear();
-      other.never_shared_.clear();
-      for (const TokenCounts& c : spine_[l]->entries) {
-        if (c.spam != 0 || c.ham != 0) ++vocab_;
-      }
-      continue;
-    }
-    Leaf& mine = *spine_[l];
-    const Leaf& theirs = *other.spine_[l];
-    for (std::size_t i = 0; i < kLeafEntries; ++i) {
-      const TokenCounts& t = theirs.entries[i];
-      if (t.spam == 0 && t.ham == 0) continue;
-      TokenCounts& m = mine.entries[i];
-      if (m.spam == 0 && m.ham == 0) ++vocab_;
-      m.spam += t.spam;
-      m.ham += t.ham;
-    }
-  }
+  vocab_ = vocab;
   nspam_ += other.nspam_;
   nham_ += other.nham_;
   generation_ = next_generation();
@@ -267,10 +332,14 @@ std::vector<std::pair<std::string, TokenCounts>> TokenDatabase::tokens()
 
 TokenDatabase::LeafBytes TokenDatabase::leaf_bytes() const {
   LeafBytes out;
-  for (const std::shared_ptr<Leaf>& leaf : spine_) {
+  for (const LeafPtr& leaf : spine_) {
     if (leaf == nullptr) continue;
-    out.held += kLeafBytes;
-    if (leaf.use_count() == 1) out.unshared += kLeafBytes;
+    out.held += leaf->bytes();
+    ++out.held_leaves;
+    if (leaf->refs.load(std::memory_order_relaxed) == 1) {
+      out.unshared += leaf->bytes();
+      ++out.unshared_leaves;
+    }
   }
   return out;
 }
@@ -314,8 +383,7 @@ TokenDatabase TokenDatabase::load(std::istream& in) {
       throw ParseError("TokenDatabase: zero-count token: " + token);
     }
     const TokenId id = interner.intern(token);
-    TokenCounts& mine =
-        db.writable_leaf(id / kLeafEntries).entries[id % kLeafEntries];
+    TokenCounts& mine = db.writable_entry(id, {&id, 1});
     // Zero counts are rejected above, so a counted entry means an earlier
     // line already set this spelling; save() never writes one twice.
     if (mine.spam != 0 || mine.ham != 0) {

@@ -266,7 +266,7 @@ TEST(Protocol, RejectsTruncatedBody) {
   TrainRequest t;
   t.message = "hello world";
   auto payload = payload_of(encode_frame(Request(t)));
-  payload.resize(payload.size() - 4);
+  payload.erase(payload.end() - 4, payload.end());
   EXPECT_THROW(decode_request(payload), ParseError);
 }
 

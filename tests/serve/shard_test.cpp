@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -165,6 +166,23 @@ TEST(ModelShard, ConcurrentSnapshotReadsDuringMutation) {
   EXPECT_EQ(final_snap->spam_count() + final_snap->ham_count(), 400u);
 }
 
+// What the leaves holding `counted` (leaf -> ids with counts) occupy: a
+// leaf that counts more than kSparseMax ids is dense, any other is sparse
+// with room for its ids. Exact for an overlay that was only ever trained.
+std::size_t leaf_bytes_of(
+    const std::map<std::size_t, std::set<spambayes::TokenId>>& counted,
+    const std::set<std::size_t>& leaves) {
+  using spambayes::TokenDatabase;
+  std::size_t bytes = 0;
+  for (std::size_t l : leaves) {
+    const std::size_t n = counted.at(l).size();
+    bytes += n > TokenDatabase::kSparseMax
+                 ? TokenDatabase::kLeafBytes
+                 : TokenDatabase::sparse_leaf_bytes(n);
+  }
+  return bytes;
+}
+
 // The paper's dictionary attack through the served feedback channel: one
 // Aspell-sized email interns ~100k ids into a user's overlay. Each later
 // ordinary train must copy only the leaves its own ids fall in, not the
@@ -184,13 +202,16 @@ TEST(ModelShard, TrainsAfterADictionaryAttackCopyOnlyTheLeavesTheyTouch) {
   train(shard, 0, attack_ids, /*as_spam=*/true);
 
   OverlaySnapshot prev = shard.overlay(0);
+  std::map<std::size_t, std::set<spambayes::TokenId>> counted;
   std::set<std::size_t> held;  // leaves the overlay has counts in
   for (spambayes::TokenId id : attack_ids) {
+    counted[id / TokenDatabase::kLeafEntries].insert(id);
     held.insert(id / TokenDatabase::kLeafEntries);
   }
   ASSERT_GE(held.size(),
             attack.dictionary_size() / TokenDatabase::kLeafEntries);
-  ASSERT_EQ(prev->leaf_bytes().held, held.size() * TokenDatabase::kLeafBytes);
+  ASSERT_EQ(prev->leaf_bytes().held_leaves, held.size());
+  ASSERT_EQ(prev->leaf_bytes().held, leaf_bytes_of(counted, held));
 
   for (int m = 0; m < 100; ++m) {
     const bool as_spam = m % 2 == 1;
@@ -200,6 +221,7 @@ TEST(ModelShard, TrainsAfterADictionaryAttackCopyOnlyTheLeavesTheyTouch) {
                     : generator.generate_ham(rng)));
     std::set<std::size_t> touched;
     for (spambayes::TokenId id : ids) {
+      counted[id / TokenDatabase::kLeafEntries].insert(id);
       touched.insert(id / TokenDatabase::kLeafEntries);
     }
     held.insert(touched.begin(), touched.end());
@@ -208,15 +230,49 @@ TEST(ModelShard, TrainsAfterADictionaryAttackCopyOnlyTheLeavesTheyTouch) {
     const OverlaySnapshot next = shard.overlay(0);
     ASSERT_NE(next, prev);
     const TokenDatabase::LeafBytes bytes = next->leaf_bytes();
-    EXPECT_EQ(bytes.held, held.size() * TokenDatabase::kLeafBytes)
-        << "message " << m;
+    EXPECT_EQ(bytes.held_leaves, held.size()) << "message " << m;
+    EXPECT_EQ(bytes.held, leaf_bytes_of(counted, held)) << "message " << m;
     // `prev` still holds every leaf it had, so the leaves `next` holds
     // alone are exactly the ones this train cloned or created: one per
     // leaf the message's ids fall in. Every other leaf is shared.
-    EXPECT_EQ(bytes.unshared, touched.size() * TokenDatabase::kLeafBytes)
+    EXPECT_EQ(bytes.unshared_leaves, touched.size()) << "message " << m;
+    EXPECT_EQ(bytes.unshared, leaf_bytes_of(counted, touched))
         << "message " << m;
     prev = next;
   }
+}
+
+// A served user's overlay costs about the tokens it counts. Other users'
+// mail interns the ids between a user's own, so ordinary mail scatters a
+// user's ids thinly over the id range and most leaves it touches count a
+// few ids each. Those must not cost a dense leaf apiece (with 2 KiB leaves
+// this overlay reads 130-200 bytes per token, by test order).
+TEST(ModelShard, AnOverlayCostsAboutTheTokensItCounts) {
+  const spambayes::Tokenizer tokenizer;
+  const corpus::TrecLikeGenerator generator;
+  const auto message = [&](util::Rng& rng, bool spam) {
+    return spam ? generator.generate_spam(rng) : generator.generate_ham(rng);
+  };
+  util::Rng others(5);
+  util::Rng rng(23);
+  ModelShard shard(1);
+  for (int m = 0; m < 30; ++m) {
+    for (int k = 0; k < 60; ++k) {  // mail of other users, interned only
+      tokenizer.tokenize_ids(message(others, k % 2 == 1));
+    }
+    const bool as_spam = m % 2 == 1;
+    train(shard, 0,
+          spambayes::unique_token_ids(
+              tokenizer.tokenize_ids(message(rng, as_spam))),
+          as_spam);
+  }
+  const OverlaySnapshot overlay = shard.overlay(0);
+  ASSERT_NE(overlay, nullptr);
+  const std::size_t tokens = overlay->vocabulary_size();
+  ASSERT_GT(tokens, 0u);
+  EXPECT_LE(overlay->leaf_bytes().held, 64 * tokens)
+      << overlay->leaf_bytes().held_leaves << " leaves for " << tokens
+      << " tokens";
 }
 
 // The TSan target for the leaves' copy-on-write. A writer trains its own

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -267,24 +268,35 @@ TEST(TokenDatabase, LoadRejectsADuplicateTokenLine) {
 // Raw ids far apart, so they fall in different leaves. None of these tests
 // reaches a path that prints a spelling, so the ids need not be interned.
 constexpr TokenId kLeaf = TokenDatabase::kLeafEntries;
-constexpr std::size_t kLeafBytes = TokenDatabase::kLeafBytes;
+constexpr std::size_t kSparseMax = TokenDatabase::kSparseMax;
+constexpr std::size_t kDense = TokenDatabase::kLeafBytes;
+constexpr std::size_t sparse(std::size_t ids) {
+  return TokenDatabase::sparse_leaf_bytes(ids);
+}
 
 TEST(TokenDatabase, ACopySharesLeavesAndATrainClonesOnlyTheLeavesItWrites) {
   TokenDatabase a;
   a.train_spam_ids({1, kLeaf + 1, 5 * kLeaf + 3});
-  EXPECT_EQ(a.leaf_bytes().held, 3 * kLeafBytes);
-  EXPECT_EQ(a.leaf_bytes().unshared, 3 * kLeafBytes);
+  EXPECT_EQ(a.leaf_bytes().held_leaves, 3u);
+  EXPECT_EQ(a.leaf_bytes().unshared_leaves, 3u);
+  EXPECT_EQ(a.leaf_bytes().held, 3 * sparse(1));
+  EXPECT_EQ(a.leaf_bytes().unshared, 3 * sparse(1));
 
   TokenDatabase b = a;
-  EXPECT_EQ(b.leaf_bytes().held, 3 * kLeafBytes);
+  EXPECT_EQ(b.leaf_bytes().held_leaves, 3u);
+  EXPECT_EQ(b.leaf_bytes().unshared_leaves, 0u);
+  EXPECT_EQ(b.leaf_bytes().held, 3 * sparse(1));
   EXPECT_EQ(b.leaf_bytes().unshared, 0u);
 
   // Leaf 0 is shared, so it is cloned; leaf 7 is new; leaves 1 and 5 stay
   // shared with `a`.
   b.train_ham_ids({2, 7 * kLeaf});
-  EXPECT_EQ(b.leaf_bytes().held, 4 * kLeafBytes);
-  EXPECT_EQ(b.leaf_bytes().unshared, 2 * kLeafBytes);
-  EXPECT_EQ(a.leaf_bytes().unshared, kLeafBytes);  // its own leaf 0
+  EXPECT_EQ(b.leaf_bytes().held_leaves, 4u);
+  EXPECT_EQ(b.leaf_bytes().unshared_leaves, 2u);
+  EXPECT_EQ(a.leaf_bytes().unshared_leaves, 1u);  // its own leaf 0
+  EXPECT_EQ(b.leaf_bytes().held, sparse(2) + 3 * sparse(1));
+  EXPECT_EQ(b.leaf_bytes().unshared, sparse(2) + sparse(1));
+  EXPECT_EQ(a.leaf_bytes().unshared, sparse(1));
   EXPECT_EQ(a.counts(2).ham, 0u);
   EXPECT_EQ(a.counts(7 * kLeaf).ham, 0u);
   EXPECT_EQ(b.counts(1).spam, 1u);  // the clone kept the rest of leaf 0
@@ -298,9 +310,11 @@ TEST(TokenDatabase, ACopySharesLeavesAndATrainClonesOnlyTheLeavesItWrites) {
 
   // Once `a` is gone, b's leaves are its own and a train writes in place.
   a = TokenDatabase();
-  EXPECT_EQ(b.leaf_bytes().unshared, 4 * kLeafBytes);
+  EXPECT_EQ(b.leaf_bytes().unshared_leaves, 4u);
+  EXPECT_EQ(b.leaf_bytes().unshared, sparse(2) + 3 * sparse(1));
   b.untrain_ham_ids({2, 7 * kLeaf});
-  EXPECT_EQ(b.leaf_bytes().held, 4 * kLeafBytes);
+  EXPECT_EQ(b.leaf_bytes().held_leaves, 4u);
+  EXPECT_EQ(b.leaf_bytes().held, sparse(2) + 3 * sparse(1));
   EXPECT_EQ(b.vocabulary_size(), 3u);
 }
 
@@ -329,8 +343,10 @@ TEST(TokenDatabase, MergeSharesLeavesItHasNoCountsInAndSelfMergeDoubles) {
   EXPECT_EQ(a.counts(3 * kLeaf + 1), (TokenCounts{0, 1}));
   EXPECT_EQ(a.vocabulary_size(), 3u);
   // Leaf 3 was taken from `b` as is; leaf 0 had to be added into.
-  EXPECT_EQ(a.leaf_bytes().held, 2 * kLeafBytes);
-  EXPECT_EQ(a.leaf_bytes().unshared, kLeafBytes);
+  EXPECT_EQ(a.leaf_bytes().held_leaves, 2u);
+  EXPECT_EQ(a.leaf_bytes().unshared_leaves, 1u);
+  EXPECT_EQ(a.leaf_bytes().held, sparse(1) + sparse(2));
+  EXPECT_EQ(a.leaf_bytes().unshared, sparse(1));
   // Training the shared leaf clones it first.
   a.train_spam_ids({3 * kLeaf + 1});
   EXPECT_EQ(a.counts(3 * kLeaf + 1), (TokenCounts{1, 1}));
@@ -345,6 +361,249 @@ TEST(TokenDatabase, MergeSharesLeavesItHasNoCountsInAndSelfMergeDoubles) {
   EXPECT_EQ(a.vocabulary_size(), 3u);
   EXPECT_EQ(b.counts(3 * kLeaf), (TokenCounts{0, 1}));  // b untouched
   EXPECT_EQ(b.counts(3 * kLeaf + 1), (TokenCounts{0, 1}));
+}
+
+// The sparse leaf form, each test checked against a plain map of what the
+// database should count.
+using Reference = std::map<TokenId, TokenCounts>;
+
+void train(TokenDatabase& db, Reference& ref, const TokenIdSet& set,
+           bool spam, std::uint32_t copies = 1) {
+  if (spam) {
+    db.train_spam_ids(set, copies);
+  } else {
+    db.train_ham_ids(set, copies);
+  }
+  for (TokenId id : set) (spam ? ref[id].spam : ref[id].ham) += copies;
+}
+
+void untrain(TokenDatabase& db, Reference& ref, const TokenIdSet& set,
+             bool spam, std::uint32_t copies = 1) {
+  if (spam) {
+    db.untrain_spam_ids(set, copies);
+  } else {
+    db.untrain_ham_ids(set, copies);
+  }
+  for (TokenId id : set) {
+    (spam ? ref[id].spam : ref[id].ham) -= copies;
+    if (ref[id] == TokenCounts{}) ref.erase(id);
+  }
+}
+
+// Every id in leaves [0, leaves) reads what `ref` says, for_each_counted
+// visits exactly `ref` in ascending order, and the vocabulary agrees.
+void expect_matches(const TokenDatabase& db, const Reference& ref,
+                    std::size_t leaves) {
+  for (TokenId id = 0; id < leaves * kLeaf; ++id) {
+    const auto it = ref.find(id);
+    ASSERT_EQ(db.counts(id), it == ref.end() ? TokenCounts{} : it->second)
+        << "id " << id;
+  }
+  std::vector<std::pair<TokenId, TokenCounts>> seen;
+  db.for_each_counted(
+      [&](TokenId id, const TokenCounts& c) { seen.emplace_back(id, c); });
+  EXPECT_EQ(seen, (std::vector<std::pair<TokenId, TokenCounts>>(ref.begin(),
+                                                                ref.end())));
+  EXPECT_EQ(db.vocabulary_size(), ref.size());
+}
+
+// `n` ids of leaf `l`, spread over it and ascending.
+TokenIdSet spread(std::size_t l, std::size_t n, std::size_t step = 7) {
+  TokenIdSet out;
+  for (std::size_t k = 0; k < n; ++k) {
+    out.push_back(static_cast<TokenId>(l * kLeaf + (k * step) % kLeaf));
+  }
+  return unique_token_ids(std::move(out));
+}
+
+TEST(TokenDatabase, ASparseLeafPromotesToDenseAtOneMoreThanSparseMax) {
+  // One id at a time, in descending offset order so every insert shifts.
+  const TokenIdSet all = spread(2, kSparseMax + 1);
+  ASSERT_EQ(all.size(), kSparseMax + 1);
+  TokenDatabase db;
+  Reference ref;
+  for (std::size_t k = kSparseMax; k > 0; --k) {
+    train(db, ref, {all[k]}, k % 2 == 0, static_cast<std::uint32_t>(k));
+  }
+  expect_matches(db, ref, 3);
+  EXPECT_EQ(db.leaf_bytes().held, sparse(kSparseMax));
+
+  // The promotion happens in the copy-on-write step: the copy taken just
+  // before keeps its sparse leaf and its counts.
+  const TokenDatabase before = db;
+  const Reference before_ref = ref;
+  train(db, ref, {all[0]}, true);
+  expect_matches(db, ref, 3);
+  EXPECT_EQ(db.leaf_bytes().held, kDense);
+  EXPECT_EQ(db.leaf_bytes().unshared_leaves, 1u);
+  expect_matches(before, before_ref, 3);
+  EXPECT_EQ(before.leaf_bytes().held, sparse(kSparseMax));
+
+  // kSparseMax + 1 ids in one train promote too.
+  TokenDatabase at_once;
+  Reference at_once_ref;
+  train(at_once, at_once_ref, all, false, 3);
+  expect_matches(at_once, at_once_ref, 3);
+  EXPECT_EQ(at_once.leaf_bytes().held, kDense);
+
+  // Untraining a dense leaf back to a few ids keeps it dense.
+  const TokenIdSet most(all.begin() + 2, all.end());
+  untrain(at_once, at_once_ref, most, false, 3);
+  expect_matches(at_once, at_once_ref, 3);
+  EXPECT_EQ(at_once.leaf_bytes().held, kDense);
+}
+
+TEST(TokenDatabase, ACloneOfASharedSparseLeafLeavesItsSourceIntact) {
+  TokenDatabase a;
+  Reference a_ref;
+  train(a, a_ref, spread(0, 5), true);
+  train(a, a_ref, spread(0, 3, 11), false, 2);
+  const std::size_t stored = a_ref.size();
+  ASSERT_LE(stored, kSparseMax);
+  EXPECT_EQ(a.leaf_bytes().held, sparse(stored));
+
+  TokenDatabase b = a;
+  Reference b_ref = a_ref;
+  // An id the leaf already has, and one it gets.
+  train(b, b_ref, {0, 200}, false);
+  expect_matches(b, b_ref, 1);
+  EXPECT_EQ(b.leaf_bytes().unshared, sparse(stored + 1));
+  expect_matches(a, a_ref, 1);
+  EXPECT_EQ(a.leaf_bytes().held, sparse(stored));
+  EXPECT_EQ(a.leaf_bytes().unshared, sparse(stored));
+
+  // And the other way round: the source writes, the copy keeps its leaf.
+  train(a, a_ref, {1}, true);
+  expect_matches(a, a_ref, 1);
+  expect_matches(b, b_ref, 1);
+}
+
+TEST(TokenDatabase, UntrainToZeroInsideASparseLeaf) {
+  TokenDatabase db;
+  Reference ref;
+  // Email totals for the untrains below to draw on, from another leaf.
+  constexpr TokenId kPad = 5 * kLeaf;
+  train(db, ref, {kPad}, true, 5);
+  train(db, ref, {kPad}, false, 5);
+  const TokenIdSet five = spread(1, 5, 13);
+  train(db, ref, five, true);
+  train(db, ref, {five[1], five[3]}, false);
+  EXPECT_EQ(db.leaf_bytes().held, sparse(1) + sparse(5));
+
+  untrain(db, ref, {five[0], five[1], five[3]}, true);  // five[0] to zero
+  untrain(db, ref, {five[1]}, false);                   // five[1] to zero
+  expect_matches(db, ref, 2);
+  EXPECT_EQ(db.vocabulary_size(), 4u);  // three in leaf 1, and kPad
+  // A zeroed id can be trained again, and untrained to nothing.
+  train(db, ref, {five[0]}, false);
+  expect_matches(db, ref, 2);
+  untrain(db, ref, {five[0]}, false);
+  expect_matches(db, ref, 2);
+
+  // A clone keeps only the counted entries: the three left, plus the one
+  // the train writes.
+  TokenDatabase copy = db;
+  Reference copy_ref = ref;
+  train(copy, copy_ref, {five[3]}, true);
+  expect_matches(copy, copy_ref, 2);
+  EXPECT_EQ(copy.leaf_bytes().unshared, sparse(3));
+  untrain(copy, copy_ref, {five[2], five[3], five[4]}, true);
+  untrain(copy, copy_ref, {five[3]}, false);
+  expect_matches(copy, copy_ref, 2);
+  EXPECT_EQ(copy.vocabulary_size(), 1u);  // kPad
+  expect_matches(db, ref, 2);
+
+  // Untraining an id a sparse leaf does not count changes nothing. The
+  // error names the token, so this id is interned.
+  const TokenId word = token_id("sparse-leaf-never-counted");
+  TokenDatabase one;
+  Reference one_ref;
+  train(one, one_ref, {word ^ 1}, true);
+  const std::uint64_t generation = one.generation();
+  EXPECT_THROW(one.untrain_spam_ids({word}), InvalidArgument);
+  EXPECT_EQ(one.generation(), generation);
+  expect_matches(one, one_ref, word / kLeaf + 1);
+}
+
+TEST(TokenDatabase, MergeSparseIntoDenseAndDenseIntoSparse) {
+  // Leaf 0 dense and leaf 1 sparse in `dense_first`; the other way round in
+  // `sparse_first`, with ids overlapping and new on both sides.
+  TokenDatabase dense_first;
+  Reference dense_ref;
+  train(dense_first, dense_ref, spread(0, 40), true);
+  train(dense_first, dense_ref, spread(1, 3, 5), false, 4);
+  TokenDatabase sparse_first;
+  Reference sparse_ref;
+  train(sparse_first, sparse_ref, spread(0, 6, 3), false, 2);
+  train(sparse_first, sparse_ref, spread(1, 50, 3), true, 5);
+  EXPECT_EQ(dense_first.leaf_bytes().held, kDense + sparse(3));
+  EXPECT_EQ(sparse_first.leaf_bytes().held, sparse(6) + kDense);
+
+  Reference sum = dense_ref;
+  for (const auto& [id, c] : sparse_ref) {
+    sum[id].spam += c.spam;
+    sum[id].ham += c.ham;
+  }
+  TokenDatabase one = dense_first;
+  one.merge(sparse_first);
+  expect_matches(one, sum, 2);
+  EXPECT_EQ(one.spam_count(), 6u);
+  EXPECT_EQ(one.ham_count(), 6u);
+  TokenDatabase other = sparse_first;
+  other.merge(dense_first);
+  expect_matches(other, sum, 2);
+  // Both sides of each merge are as they were.
+  expect_matches(dense_first, dense_ref, 2);
+  expect_matches(sparse_first, sparse_ref, 2);
+
+  // Sparse into sparse stays sparse.
+  TokenDatabase small;
+  Reference small_ref;
+  train(small, small_ref, spread(1, 2, 9), true);
+  TokenDatabase merged = small;
+  merged.merge(dense_first);  // leaf 1: 3 + 2 ids, leaf 0 shared as is
+  Reference merged_ref = small_ref;
+  for (const auto& [id, c] : dense_ref) {
+    merged_ref[id].spam += c.spam;
+    merged_ref[id].ham += c.ham;
+  }
+  expect_matches(merged, merged_ref, 2);
+  // Leaf 1 counts {256, 261, 265, 266}; leaf 0 is dense_first's, shared.
+  EXPECT_EQ(merged.leaf_bytes().held, kDense + sparse(4));
+  EXPECT_EQ(merged.leaf_bytes().unshared_leaves, 1u);
+}
+
+TEST(TokenDatabase, RandomTrainsUntrainsAndCopiesMatchAReferenceMap) {
+  // Ids over four leaves, dense enough that some promote and some stay
+  // sparse; copies taken along the way must keep what they had.
+  util::Rng rng(7);
+  TokenDatabase db;
+  Reference ref;
+  std::vector<std::pair<TokenDatabase, Reference>> copies;
+  std::vector<std::tuple<TokenIdSet, std::uint32_t, bool>> trained;
+  for (int step = 0; step < 600; ++step) {
+    if (step % 50 == 0) copies.emplace_back(db, ref);
+    if (!trained.empty() && rng.bernoulli(0.3)) {
+      const std::size_t k = rng.index(trained.size());
+      const auto [set, n, spam] = trained[k];
+      trained.erase(trained.begin() + static_cast<std::ptrdiff_t>(k));
+      untrain(db, ref, set, spam, n);
+      continue;
+    }
+    TokenIdList raw;
+    const std::size_t l = rng.index(4);
+    const std::size_t width = l == 0 ? kLeaf : 48;  // leaf 0 fills up
+    for (std::size_t j = 1 + rng.index(6); j > 0; --j) {
+      raw.push_back(static_cast<TokenId>(l * kLeaf + rng.index(width)));
+    }
+    const TokenIdSet set = unique_token_ids(std::move(raw));
+    const auto n = static_cast<std::uint32_t>(1 + rng.index(3));
+    const bool spam = rng.bernoulli(0.5);
+    train(db, ref, set, spam, n);
+    trained.emplace_back(set, n, spam);
+  }
+  expect_matches(db, ref, 4);
+  for (const auto& [copy, copy_ref] : copies) expect_matches(copy, copy_ref, 4);
 }
 
 TEST(TokenDatabase, FileRoundTrip) {
